@@ -1,247 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is chosen once at import from the ``FRAILTY_SHAPES_BACKEND``
-environment variable: ``"numba"``, ``"numpy"``, or ``"auto"`` (default; numba
-when importable).  ``set_backend`` flips it at runtime, which the benchmark
-script and the backend-equivalence tests use.
+"""Hot numeric kernels, vectorised in numpy.
 
 Kernels are deterministic pure functions; all random number generation stays
-in numpy Generators outside this module.  Summation order differs between the
-two backends, so results may disagree in the last couple of ulps -- the test
-suite pins agreement at 1e-12 relative.
+in numpy Generators outside this module.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_VALID = ("auto", "numba", "numpy")
-
-
-def _resolve(name: str) -> str:
-    if name not in _VALID:
-        raise ValueError(f"backend must be one of {_VALID}, got {name!r}")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return name
-
-
-_backend = _resolve(os.environ.get("FRAILTY_SHAPES_BACKEND", "auto"))
 
 
 def active_backend() -> str:
-    """Name of the backend currently in use ("numba" or "numpy")."""
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Select "numba", "numpy", or "auto"; returns the resolved backend."""
-    global _backend
-    _backend = _resolve(name)
-    return _backend
-
-
-def set_thread_cap(n: int) -> None:
-    """Cap numba's worker pool (no-op on the numpy backend)."""
-    if HAS_NUMBA:
-        numba.set_num_threads(max(1, min(int(n), numba.config.NUMBA_NUM_THREADS)))
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _survivor_moment_grid_np(z, g, lam):
-    dz = z - z[0]
-    w = g[None, :] * np.exp(-np.outer(lam, dz))
-    norm = w.sum(axis=1)
-    m1 = w @ dz / norm
-    m2 = w @ (dz * dz) / norm
-    first = g[0] / norm
-    return norm, m1, m2, first
-
-
-def _kpoint_rfv_grid_np(z, pr, lam):
-    # Double sum over support pairs; recentred by 2*z[0] so the exponentials
-    # stay in range at large lambda (the common factor cancels in the ratio).
-    zs = z[:, None] + z[None, :] - 2.0 * z[0]
-    zz = z[:, None] * z[None, :]
-    z2 = (z * z)[:, None] * np.ones_like(z)[None, :]
-    pp = pr[:, None] * pr[None, :]
-    out = np.empty(lam.shape[0])
-    for i in range(lam.shape[0]):
-        e = np.exp(-zs * lam[i]) * pp
-        out[i] = (z2 * e).sum() / (zz * e).sum() - 1.0
-    return out
-
-
-def _piecewise_cumulative_np(edges, cums, rates, t):
-    idx = np.searchsorted(edges, t, side="right") - 1
-    idx = np.clip(idx, 0, rates.shape[0] - 1)
-    return cums[idx] + rates[idx] * (t - edges[idx])
-
-
-def _piecewise_inverse_np(edges, cums, rates, u):
-    idx = np.searchsorted(cums, u, side="right") - 1
-    idx = np.clip(idx, 0, rates.shape[0] - 1)
-    return edges[idx] + (u - cums[idx]) / rates[idx]
-
-
-def _riskset_value_counts_np(codes, times, tvec, n_values):
-    mask = (times > tvec[None, :]).all(axis=1)
-    return np.bincount(codes[mask], minlength=n_values).astype(np.int64)
-
-
-def _crf_cell_counts_np(ta, tb, t_a, t_b, w):
-    ca = np.where(ta <= t_a, 0, np.where(ta < t_a + w, 1, 2))
-    cb = np.where(tb <= t_b, 0, np.where(tb < t_b + w, 1, 2))
-    return np.bincount(3 * ca + cb, minlength=9).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _survivor_moment_grid_nb(z, g, lam):  # pragma: no cover - jitted
-        k = z.shape[0]
-        m = lam.shape[0]
-        norm = np.empty(m)
-        m1 = np.empty(m)
-        m2 = np.empty(m)
-        first = np.empty(m)
-        for i in prange(m):
-            s0 = 0.0
-            s1 = 0.0
-            s2 = 0.0
-            for j in range(k):
-                dz = z[j] - z[0]
-                w = g[j] * np.exp(-dz * lam[i])
-                s0 += w
-                s1 += dz * w
-                s2 += dz * dz * w
-            norm[i] = s0
-            m1[i] = s1 / s0
-            m2[i] = s2 / s0
-            first[i] = g[0] / s0
-        return norm, m1, m2, first
-
-    @njit(cache=True, parallel=True)
-    def _kpoint_rfv_grid_nb(z, pr, lam):  # pragma: no cover - jitted
-        k = z.shape[0]
-        m = lam.shape[0]
-        out = np.empty(m)
-        for i in prange(m):
-            num = 0.0
-            den = 0.0
-            for a in range(k):
-                for b in range(k):
-                    e = np.exp(-(z[a] + z[b] - 2.0 * z[0]) * lam[i]) * pr[a] * pr[b]
-                    num += z[a] * z[a] * e
-                    den += z[a] * z[b] * e
-            out[i] = num / den - 1.0
-        return out
-
-    @njit(cache=True)
-    def _piecewise_cumulative_nb(edges, cums, rates, t):  # pragma: no cover
-        n = t.shape[0]
-        last = rates.shape[0] - 1
-        out = np.empty(n)
-        for i in range(n):
-            idx = np.searchsorted(edges, t[i], side="right") - 1
-            if idx < 0:
-                idx = 0
-            elif idx > last:
-                idx = last
-            out[i] = cums[idx] + rates[idx] * (t[i] - edges[idx])
-        return out
-
-    @njit(cache=True)
-    def _piecewise_inverse_nb(edges, cums, rates, u):  # pragma: no cover
-        n = u.shape[0]
-        last = rates.shape[0] - 1
-        out = np.empty(n)
-        for i in range(n):
-            idx = np.searchsorted(cums, u[i], side="right") - 1
-            if idx < 0:
-                idx = 0
-            elif idx > last:
-                idx = last
-            out[i] = edges[idx] + (u[i] - cums[idx]) / rates[idx]
-        return out
-
-    @njit(cache=True)
-    def _riskset_value_counts_nb(codes, times, tvec, n_values):  # pragma: no cover
-        n, j = times.shape
-        counts = np.zeros(n_values, dtype=np.int64)
-        for i in range(n):
-            alive = True
-            for q in range(j):
-                if times[i, q] <= tvec[q]:
-                    alive = False
-                    break
-            if alive:
-                counts[codes[i]] += 1
-        return counts
-
-    @njit(cache=True)
-    def _crf_cell_counts_nb(ta, tb, t_a, t_b, w):  # pragma: no cover - jitted
-        counts = np.zeros(9, dtype=np.int64)
-        for i in range(ta.shape[0]):
-            if ta[i] <= t_a:
-                ca = 0
-            elif ta[i] < t_a + w:
-                ca = 1
-            else:
-                ca = 2
-            if tb[i] <= t_b:
-                cb = 0
-            elif tb[i] < t_b + w:
-                cb = 1
-            else:
-                cb = 2
-            counts[3 * ca + cb] += 1
-        return counts
-
-
-_IMPLS = {
-    "numpy": {
-        "survivor_moment_grid": _survivor_moment_grid_np,
-        "kpoint_rfv_grid": _kpoint_rfv_grid_np,
-        "piecewise_cumulative": _piecewise_cumulative_np,
-        "piecewise_inverse": _piecewise_inverse_np,
-        "riskset_value_counts": _riskset_value_counts_np,
-        "crf_cell_counts": _crf_cell_counts_np,
-    }
-}
-if HAS_NUMBA:
-    _IMPLS["numba"] = {
-        "survivor_moment_grid": _survivor_moment_grid_nb,
-        "kpoint_rfv_grid": _kpoint_rfv_grid_nb,
-        "piecewise_cumulative": _piecewise_cumulative_nb,
-        "piecewise_inverse": _piecewise_inverse_nb,
-        "riskset_value_counts": _riskset_value_counts_nb,
-        "crf_cell_counts": _crf_cell_counts_nb,
-    }
-
-
-def _dispatch(name, *args):
-    return _IMPLS[_backend][name](*args)
+    """Name of the kernel implementation in use; always ``"numpy"``."""
+    return "numpy"
 
 
 def survivor_moment_grid(z, g, lam):
@@ -260,35 +30,54 @@ def survivor_moment_grid(z, g, lam):
         Total conditional weight, recentred first and second moments, and the
         conditional probability of the smallest support point.
     """
-    return _dispatch("survivor_moment_grid", np.ascontiguousarray(z, dtype=np.float64),
-                     np.ascontiguousarray(g, dtype=np.float64),
-                     np.ascontiguousarray(lam, dtype=np.float64))
+    dz = z - z[0]
+    w = g[None, :] * np.exp(-np.outer(lam, dz))
+    norm = w.sum(axis=1)
+    m1 = w @ dz / norm
+    m2 = w @ (dz * dz) / norm
+    first = g[0] / norm
+    return norm, m1, m2, first
+
+
+def kpoint_moment_sums(z, pr, lam):
+    """Sums M_q = sum_k z_k^q w_k, q = 0..3, one entry per point of ``lam``.
+
+    The weights w_k = p_k exp(-(z_k - z_1) lam) are recentred at the smallest
+    support point z_1 so they stay in range at any lam; the common factor
+    exp(-z_1 lam) cancels from every ratio of equal weight degree.
+    """
+    w = pr[None, :] * np.exp(-(z - z[0])[None, :] * lam[:, None])
+    return w.sum(axis=1), w @ z, w @ (z * z), w @ (z * z * z)
 
 
 def kpoint_rfv_grid(z, pr, lam):
-    """Relative frailty variance of a k-point family via the pair double sum."""
-    return _dispatch("kpoint_rfv_grid", np.ascontiguousarray(z, dtype=np.float64),
-                     np.ascontiguousarray(pr, dtype=np.float64),
-                     np.ascontiguousarray(lam, dtype=np.float64))
+    """Relative frailty variance of a k-point family, M2 M0 / M1^2 - 1.
+
+    This is the pair double sum sum_ab z_a^2 w_a w_b / sum_ab z_a z_b w_a w_b,
+    factorised into products of single sums.
+    """
+    m0, m1, m2, _ = kpoint_moment_sums(z, pr, lam)
+    return m2 * m0 / m1**2 - 1.0
 
 
 def piecewise_cumulative(edges, cums, rates, t):
     """Cumulative hazard of a piecewise-constant rate at each time in ``t``."""
-    return _dispatch("piecewise_cumulative", edges, cums, rates,
-                     np.ascontiguousarray(t, dtype=np.float64))
+    idx = np.searchsorted(edges, t, side="right") - 1
+    idx = np.clip(idx, 0, rates.shape[0] - 1)
+    return cums[idx] + rates[idx] * (t - edges[idx])
 
 
 def piecewise_inverse(edges, cums, rates, u):
     """Inverse cumulative hazard of a piecewise-constant rate at each ``u``."""
-    return _dispatch("piecewise_inverse", edges, cums, rates,
-                     np.ascontiguousarray(u, dtype=np.float64))
+    idx = np.searchsorted(cums, u, side="right") - 1
+    idx = np.clip(idx, 0, rates.shape[0] - 1)
+    return edges[idx] + (u - cums[idx]) / rates[idx]
 
 
 def riskset_value_counts(codes, times, tvec, n_values):
     """Histogram of frailty codes over clusters with all event times past ``tvec``."""
-    return _dispatch("riskset_value_counts", np.ascontiguousarray(codes, dtype=np.int64),
-                     np.ascontiguousarray(times, dtype=np.float64),
-                     np.ascontiguousarray(tvec, dtype=np.float64), n_values)
+    mask = (times > tvec[None, :]).all(axis=1)
+    return np.bincount(codes[mask], minlength=n_values).astype(np.int64)
 
 
 def crf_cell_counts(ta, tb, t_a, t_b, w):
@@ -298,6 +87,6 @@ def crf_cell_counts(ta, tb, t_a, t_b, w):
     falls before ``t_a``, inside ``[t_a, t_a + w)``, or at/after ``t_a + w``
     (a = 0, 1, 2), jointly with the same trichotomy for target B.
     """
-    return _dispatch("crf_cell_counts", np.ascontiguousarray(ta, dtype=np.float64),
-                     np.ascontiguousarray(tb, dtype=np.float64),
-                     float(t_a), float(t_b), float(w))
+    ca = np.where(ta <= t_a, 0, np.where(ta < t_a + w, 1, 2))
+    cb = np.where(tb <= t_b, 0, np.where(tb < t_b + w, 1, 2))
+    return np.bincount(3 * ca + cb, minlength=9).astype(np.int64)

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels
+from ._io import sidecar_path, write_csv, write_json
 from .errors import FrailtyModelError, ParameterOutOfRange
 from .families import family_from_dict, family_to_dict
 from .hazards import hazard_from_dict, hazard_to_dict
@@ -46,25 +46,6 @@ from .extensions import (
     timevarying_shift_rfv,
 )
 from .verify import report, run_all
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _sidecar_path(csv_path: str) -> str:
-    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
 
 
 def _load_config(path):
@@ -128,11 +109,9 @@ def _cmd_oracle(args) -> int:
     brute = oracle_mod.rfv_grid(family, grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
-    lines = ["lambda,rfv_laplace,rfv_oracle,rel_diff"]
-    lines += [f"{_fmt(l)},{_fmt(a)},{_fmt(b)},{_fmt(r)}"
-              for l, a, b, r in zip(grid, ratio, brute, rel)]
-    _write_lines(out, lines)
-    _write_json(_sidecar_path(out), {
+    write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
+              (grid, ratio, brute, rel))
+    write_json(sidecar_path(out), {
         "family": family_to_dict(family),
         "max_rel_diff": float(np.max(rel)),
     })
@@ -156,8 +135,8 @@ def _cmd_simulate(args) -> int:
     samples = simulate(sim_cfg)
     out = _out_path(cfg, args)
     samples_to_csv(samples, out)
-    _write_json(_sidecar_path(out),
-                simulation_summary(samples, cfg.get("summary_times")))
+    write_json(sidecar_path(out),
+               simulation_summary(samples, cfg.get("summary_times")))
     return 0
 
 
@@ -179,15 +158,13 @@ def _cmd_correlated(args) -> int:
     out = _out_path(cfg, args)
     # The correlated model's cross-ratio is no longer 1 + RFV of any single
     # frailty, so the CSV deliberately omits an rfv column.
-    lines = ["d,crf"]
-    lines += [f"{_fmt(d)},{_fmt(c)}" for d, c in zip(grid, crf)]
-    _write_lines(out, lines)
+    write_csv(out, ("d", "crf"), (grid, crf))
     pairs = [
         {"j": j, "j_prime": k,
          "correlation": model.frailty_correlation(j, k)}
         for j in range(len(model.etas)) for k in range(j + 1, len(model.etas))
     ]
-    _write_json(_sidecar_path(out), {
+    write_json(sidecar_path(out), {
         "model": {
             "etas": list(model.etas),
             "w_dist": family_to_dict(model.w_dist),
@@ -225,15 +202,10 @@ def _cmd_piecewise(args) -> int:
             f"piecewise grid must start at or after the final cutpoint {floor}"
         )
     j = len(model.hazards)
-    rows = []
-    for t in grid:
-        value = piecewise_rfv(model, [float(t)] * j)
-        rows.append((float(t), value))
+    rfv = np.array([piecewise_rfv(model, [float(t)] * j) for t in grid])
     out = _out_path(cfg, args)
-    lines = ["t,rfv,crf"]
-    lines += [f"{_fmt(t)},{_fmt(v)},{_fmt(v + 1.0)}" for t, v in rows]
-    _write_lines(out, lines)
-    _write_json(_sidecar_path(out), {
+    write_csv(out, ("t", "rfv", "crf"), (grid, rfv, rfv + 1.0))
+    write_json(sidecar_path(out), {
         "segment_families": [family_to_dict(f) for f in model.segment_families],
         "cutpoints": list(model.cutpoints),
         "coupling": (model.joint_coupling if isinstance(model.joint_coupling, str)
@@ -250,10 +222,8 @@ def _cmd_timevarying(args) -> int:
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 201}))
     vals = np.asarray(timevarying_shift_rfv(model, grid))
     out = _out_path(cfg, args)
-    lines = ["lambda,rfv,crf"]
-    lines += [f"{_fmt(l)},{_fmt(v)},{_fmt(v + 1.0)}" for l, v in zip(grid, vals)]
-    _write_lines(out, lines)
-    _write_json(_sidecar_path(out), {
+    write_csv(out, ("lambda", "rfv", "crf"), (grid, vals, vals + 1.0))
+    write_json(sidecar_path(out), {
         "inner": family_to_dict(model.inner),
         "shift": shift_to_dict(model.shift_fn),
     })
@@ -265,10 +235,9 @@ def _cmd_verify(args) -> int:
     only = args.only or cfg.get("only")
     results = run_all(only)
     payload = report(results)
-    text = json.dumps(payload, indent=2)
     if args.out:
-        _write_lines(args.out, [text])
-    sys.stdout.write(text + "\n")
+        write_json(args.out, payload)
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return 0 if payload["passed"] else 1
 
 
@@ -304,28 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("FRAILTY_SHAPES_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ParameterOutOfRange(
-            f"FRAILTY_SHAPES_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if n < 1:
-        raise ParameterOutOfRange(
-            f"FRAILTY_SHAPES_THREADS must be >= 1, got {n}"
-        )
-    _kernels.set_thread_cap(n)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        _apply_thread_cap()
         return handler(args)
     except (FrailtyModelError, ValueError, TypeError, KeyError, OSError,
             json.JSONDecodeError) as exc:

@@ -44,24 +44,9 @@ from .families import (
 )
 from .oracle import SurvivorPmf, survivor_pmf
 from .shapes import crf_at
+from .simulate import _check_time_vector, _philox
 
 _STREAM_CORRELATED = 3
-
-
-def _philox(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed % 2**64), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_time_vector(hazards, t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t.shape[0] != len(hazards):
-        raise LengthMismatch(
-            f"time vector of length {t.shape[0]} for {len(hazards)} hazards"
-        )
-    if not np.all(np.isfinite(t)) or (t.size and float(t.min()) < 0.0):
-        raise ParameterOutOfRange("time vector must be finite and nonnegative")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +247,6 @@ class PiecewiseFrailtyModel:
             full = float(hazard.cumulative(float(tj)))
             loads += np.diff(np.concatenate((cums, [full])))
         return loads
-
-
-def d_of_t(model: CorrelatedPoissonModel, t) -> float:
-    return model.d_of_t(t)
-
-
-def correlated_crf(model: CorrelatedPoissonModel, t) -> float:
-    return model.correlated_crf(t)
-
-
-def frailty_correlation(model: CorrelatedPoissonModel, j: int, j_prime: int) -> float:
-    return model.frailty_correlation(j, j_prime)
 
 
 def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:

@@ -78,7 +78,8 @@ class NegBin:
 
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0, f"NegBin pi must lie in (0, 1), got {self.pi}")
-        _require(self.nu > 0.0, f"NegBin nu must be positive, got {self.nu}")
+        _require(self.nu > 0.0 and math.isfinite(self.nu),
+                 f"NegBin nu must be positive and finite, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ class Poisson:
     eta: float
 
     def __post_init__(self):
-        _require(self.eta > 0.0, f"Poisson eta must be positive, got {self.eta}")
+        _require(self.eta > 0.0 and math.isfinite(self.eta),
+                 f"Poisson eta must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ class Shifted:
                 "Shifted inner family must be NegBin, Binomial, or Poisson, "
                 f"got {type(self.inner).__name__}"
             )
-        _require(self.p >= 0.0, f"Shifted p must be nonnegative, got {self.p}")
+        _require(self.p >= 0.0 and math.isfinite(self.p),
+                 f"Shifted p must be nonnegative and finite, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ class ZeroModifiedPoisson:
     phi: float
 
     def __post_init__(self):
-        _require(self.eta > 0.0,
-                 f"ZeroModifiedPoisson eta must be positive, got {self.eta}")
+        _require(self.eta > 0.0 and math.isfinite(self.eta),
+                 f"ZeroModifiedPoisson eta must be positive and finite, got {self.eta}")
         # phi < exp(eta) keeps the zero-class probability below one; compare in
         # the downscaled form so large eta cannot overflow.
         _require(self.phi >= 0.0 and self.phi * math.exp(-self.eta) < 1.0,
@@ -169,7 +172,8 @@ class Addams:
 
     def __post_init__(self):
         _require(math.isfinite(self.alpha), f"Addams alpha must be finite, got {self.alpha}")
-        _require(self.gamma > 0.0, f"Addams gamma must be positive, got {self.gamma}")
+        _require(self.gamma > 0.0 and math.isfinite(self.gamma),
+                 f"Addams gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,8 @@ class KPoint:
                 f"KPoint support has {len(support)} points but {len(probs)} probabilities"
             )
         _require(len(support) >= 1, "KPoint needs at least one support point")
-        _require(support[0] >= 0.0,
-                 f"KPoint support must be nonnegative, got {support[0]}")
+        _require(support[0] >= 0.0 and math.isfinite(support[-1]),
+                 f"KPoint support must be nonnegative and finite, got {support}")
         for a, b in zip(support, support[1:]):
             _require(a < b, "KPoint support must be strictly increasing")
         for p in probs:
@@ -214,9 +218,10 @@ class GammaFrailty:
     variance: float
 
     def __post_init__(self):
-        _require(self.mean > 0.0, f"GammaFrailty mean must be positive, got {self.mean}")
-        _require(self.variance > 0.0,
-                 f"GammaFrailty variance must be positive, got {self.variance}")
+        _require(self.mean > 0.0 and math.isfinite(self.mean),
+                 f"GammaFrailty mean must be positive and finite, got {self.mean}")
+        _require(self.variance > 0.0 and math.isfinite(self.variance),
+                 f"GammaFrailty variance must be positive and finite, got {self.variance}")
 
 
 FrailtyFamily = Union[
@@ -521,7 +526,8 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
 
     Postconditions checked here: L in (0, 1], L' <= 0, L'' >= 0, all finite.
     Violations (underflow of L to zero, overflow to inf/nan) raise
-    :class:`NumericalOverflow` rather than returning non-finite values.
+    :class:`NumericalOverflow` rather than returning non-finite values.  An L
+    rounded up past 1 by at most 1e-12 is returned as 1.
     """
     arr = np.asarray(s, dtype=np.float64)
     if arr.size and float(np.min(arr)) < 0.0:
@@ -535,6 +541,7 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
         raise NumericalOverflow(
             f"Laplace transform of {family} left its admissible range at s={where}"
         )
+    l0 = np.minimum(l0, 1.0)
     if np.isscalar(s) or np.ndim(s) == 0:
         return LaplaceTriple(float(l0), float(l1), float(l2))
     return LaplaceTriple(l0, l1, l2)

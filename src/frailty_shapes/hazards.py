@@ -8,6 +8,7 @@ cumulative hazards, :func:`generic_time`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,8 +29,9 @@ class ExponentialRate:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ParameterOutOfRange(f"exponential rate must be positive, got {self.rate}")
+        if not (self.rate > 0.0 and math.isfinite(self.rate)):
+            raise ParameterOutOfRange(
+                f"exponential rate must be positive and finite, got {self.rate}")
 
     def cumulative(self, t):
         return self.rate * _as_float_array(t)
@@ -46,10 +48,12 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        if not self.shape > 0.0:
-            raise ParameterOutOfRange(f"Weibull shape must be positive, got {self.shape}")
-        if not self.scale > 0.0:
-            raise ParameterOutOfRange(f"Weibull scale must be positive, got {self.scale}")
+        if not (self.shape > 0.0 and math.isfinite(self.shape)):
+            raise ParameterOutOfRange(
+                f"Weibull shape must be positive and finite, got {self.shape}")
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ParameterOutOfRange(
+                f"Weibull scale must be positive and finite, got {self.scale}")
 
     def cumulative(self, t):
         return (_as_float_array(t) / self.scale) ** self.shape
@@ -77,14 +81,16 @@ class PiecewiseConstant:
             )
         prev = 0.0
         for b in breakpoints:
-            if not b > prev:
+            if not (b > prev and math.isfinite(b)):
                 raise ParameterOutOfRange(
-                    f"breakpoints must be positive and strictly increasing, got {breakpoints}"
+                    f"breakpoints must be positive, finite and strictly increasing, "
+                    f"got {breakpoints}"
                 )
             prev = b
         for r in rates:
-            if not r > 0.0:
-                raise ParameterOutOfRange(f"piecewise rates must be positive, got {r}")
+            if not (r > 0.0 and math.isfinite(r)):
+                raise ParameterOutOfRange(
+                    f"piecewise rates must be positive and finite, got {r}")
 
     def _tables(self):
         edges = np.concatenate(([0.0], np.asarray(self.breakpoints)))

@@ -17,14 +17,13 @@ zero, and constant-RFV families stay flat.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _io, _kernels
 from .errors import (
     NumericalOverflow,
     ParameterOutOfRange,
@@ -236,14 +235,8 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
     if isinstance(family, KPoint):
         # d/dlam of M2 M0 / M1^2 with Mq the q-th conditional moment sum;
         # every term is weight-degree 3, so the recentring factor cancels.
-        z = np.asarray(family.support)
-        pr = np.asarray(family.probs)
-        flat = np.atleast_1d(lam)
-        w = pr[None, :] * np.exp(-(z - z[0])[None, :] * flat[:, None])
-        m0 = w.sum(axis=1)
-        m1 = w @ z
-        m2 = w @ (z * z)
-        m3 = w @ (z * z * z)
+        m0, m1, m2, m3 = _kernels.kpoint_moment_sums(
+            np.asarray(family.support), np.asarray(family.probs), np.atleast_1d(lam))
         out = (2.0 * m2 * m2 * m0 - m3 * m0 * m1 - m2 * m1 * m1) / m1**3
         return out.reshape(lam.shape)
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
@@ -397,22 +390,9 @@ def curve(family: FrailtyFamily, grid) -> ShapeCurve:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def curve_to_csv(shape: ShapeCurve, path, d_clock: bool = False) -> None:
-    """Write ``lambda,rfv,crf`` rows (17 significant digits, LF endings).
-
-    With ``d_clock`` the first column is labelled ``d`` (used by the
-    correlated-frailty model whose clock is not a cumulative hazard sum).
-    """
-    header = "d,rfv,crf" if d_clock else "lambda,rfv,crf"
-    lines = [header]
-    lines += [f"{_fmt(l)},{_fmt(r)},{_fmt(c)}"
-              for l, r, c in zip(shape.grid, shape.rfv, shape.crf)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def curve_to_csv(shape: ShapeCurve, path) -> None:
+    """Write ``lambda,rfv,crf`` rows (17 significant digits, LF endings)."""
+    _io.write_csv(path, ("lambda", "rfv", "crf"), (shape.grid, shape.rfv, shape.crf))
 
 
 def curve_sidecar(shape: ShapeCurve) -> dict:
@@ -427,17 +407,10 @@ def curve_sidecar(shape: ShapeCurve) -> dict:
     }
 
 
-def write_curve(shape: ShapeCurve, csv_path, sidecar_path: Optional[str] = None,
-                d_clock: bool = False) -> None:
+def write_curve(shape: ShapeCurve, csv_path, sidecar_path: Optional[str] = None) -> None:
     """Write the CSV and its JSON sidecar (default: same stem, .json)."""
-    curve_to_csv(shape, csv_path, d_clock=d_clock)
-    if sidecar_path is None:
-        sidecar_path = str(csv_path)
-        sidecar_path = (sidecar_path[:-4] if sidecar_path.endswith(".csv")
-                        else sidecar_path) + ".json"
-    with open(sidecar_path, "w", newline="") as fh:
-        json.dump(curve_sidecar(shape), fh, indent=2)
-        fh.write("\n")
+    curve_to_csv(shape, csv_path)
+    _io.write_json(sidecar_path or _io.sidecar_path(csv_path), curve_sidecar(shape))
 
 
 #: Built-in eight-point example supports and weights for the k-point family.

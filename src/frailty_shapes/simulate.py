@@ -21,7 +21,7 @@ from typing import Optional, Sequence, NamedTuple
 
 import numpy as np
 
-from . import _kernels
+from . import _io, _kernels
 from .errors import (
     DegenerateConditional,
     EmptyWindow,
@@ -273,10 +273,6 @@ def empirical_crf(samples: SampleSet, hazards, t, j: int, j_prime: int,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def samples_to_csv(samples: SampleSet, path) -> None:
     """Write ``cluster_id,z,t_1,...,t_J,censored`` rows.
 
@@ -292,15 +288,9 @@ def samples_to_csv(samples: SampleSet, path) -> None:
     else:
         observed = np.minimum(samples.times, censor)
         flags = (samples.times > censor).any(axis=1).astype(np.int64)
-    header = "cluster_id,z," + ",".join(f"t_{q + 1}" for q in range(j)) + ",censored"
-    lines = [header]
-    for i in range(len(samples)):
-        row = [str(i), _fmt(samples.z[i])]
-        row += [_fmt(v) for v in observed[i]]
-        row.append(str(flags[i]))
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["cluster_id", "z"] + [f"t_{q + 1}" for q in range(j)] + ["censored"]
+    _io.write_csv(path, header,
+                  [np.arange(len(samples)), samples.z, *observed.T, flags])
 
 
 def simulation_summary(samples: SampleSet, summary_times=None) -> dict:

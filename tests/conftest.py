@@ -1,7 +1,7 @@
 import hypothesis
 
-# JIT warm-up on the first call into a numba kernel can blow hypothesis'
-# per-example deadline, so it is disabled globally.
+# The first Addams example integrates its transform ODE, which can blow
+# hypothesis' per-example deadline, so it is disabled globally.
 hypothesis.settings.register_profile(
     "frailty", deadline=None, max_examples=60, print_blob=True
 )

@@ -6,10 +6,8 @@ and asserts both the outcome and the criterion's wall-clock budget.  Failing
 checks are spelled out in the assertion message.
 """
 
-import numpy as np
 import pytest
 
-import frailty_shapes as fs
 from frailty_shapes import _kernels
 from frailty_shapes.verify import CRITERIA, run_criterion
 
@@ -28,24 +26,6 @@ BUDGETS = {
 }
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # Pull the jitted kernels out of numba's on-disk cache (or compile them)
-    # before any budgeted timing starts.
-    fam = fs.KPoint(support=(0.0, 1.0), probs=(0.5, 0.5))
-    fs.rfv_at(fam, np.array([0.0, 1.0]))
-    cfg = fs.SimConfig(family=fam, hazards=(fs.ExponentialRate(rate=1.0),) * 2,
-                       n_clusters=200, seed=1)
-    s = fs.simulate(cfg)
-    fs.empirical_rfv(s, cfg.hazards, (0.01, 0.01))
-    try:
-        fs.empirical_crf(s, cfg.hazards, (0.01, 0.01), 0, 1, window=0.5)
-    except (fs.TooFewAtRisk, fs.EmptyWindow):
-        pass
-    hz = fs.PiecewiseConstant(breakpoints=(1.0,), rates=(1.0, 2.0))
-    hz.inverse_cumulative(np.asarray(hz.cumulative(np.array([0.5, 1.5]))))
-
-
 @pytest.mark.parametrize("name", list(CRITERIA), ids=list(CRITERIA))
 def test_criterion(name):
     result = run_criterion(name)
@@ -62,4 +42,4 @@ def test_criterion(name):
 
 def test_every_criterion_is_covered():
     assert set(BUDGETS) == set(CRITERIA)
-    assert _kernels.active_backend() in ("numba", "numpy")
+    assert _kernels.active_backend() == "numpy"

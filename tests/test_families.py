@@ -5,6 +5,8 @@ short derivations are kept next to each constant) or cross-checked against
 scipy.stats pmfs.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -16,14 +18,17 @@ from frailty_shapes import (
     Addams,
     Binomial,
     DegenerateDistribution,
+    ExponentialRate,
     GammaFrailty,
     KPoint,
     NegBin,
     NegBinPositive,
     ParameterOutOfRange,
+    PiecewiseConstant,
     Poisson,
     Shifted,
     UnsupportedFamily,
+    Weibull,
     ZeroModifiedPoisson,
     family_from_dict,
     family_to_dict,
@@ -146,13 +151,19 @@ class TestMoments:
 
 # -- transform identities, property-based ----------------------------------
 
+
+def _zero_modified(eta, zero_mass):
+    # phi = P(Z = 0) e^eta, so phi stays inside [0, e^eta) for zero_mass < 1
+    return ZeroModifiedPoisson(eta=eta, phi=zero_mass * math.exp(eta))
+
+
 families_st = st.one_of(
     st.builds(Poisson, eta=st.floats(0.05, 8.0)),
     st.builds(NegBin, pi=st.floats(0.05, 0.9), nu=st.floats(0.3, 6.0)),
     st.builds(Binomial, pi=st.floats(0.05, 0.95), n=st.integers(1, 12)),
     st.builds(NegBinPositive, pi=st.floats(0.05, 0.9), nu=st.integers(1, 5)),
-    st.builds(ZeroModifiedPoisson, eta=st.floats(0.1, 6.0),
-              phi=st.floats(0.0, 1.5)),
+    st.builds(_zero_modified, eta=st.floats(0.1, 6.0),
+              zero_mass=st.floats(0.0, 0.99)),
     st.builds(Shifted, inner=st.builds(Poisson, eta=st.floats(0.1, 5.0)),
               p=st.floats(0.0, 3.0)),
     st.builds(KPoint,
@@ -217,6 +228,32 @@ def test_invalid_parameters_raise(bad):
     with pytest.raises((ParameterOutOfRange, DegenerateDistribution)):
         fam = bad()
         laplace(fam, 1.0)
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NegBin(pi=0.5, nu=INF),
+    lambda: Poisson(eta=INF),
+    lambda: GammaFrailty(mean=INF, variance=1.0),
+    lambda: GammaFrailty(mean=1.0, variance=INF),
+    lambda: Shifted(inner=Poisson(eta=1.0), p=INF),
+    lambda: ZeroModifiedPoisson(eta=INF, phi=0.5),
+    lambda: Addams(alpha=0.1, gamma=INF),
+    lambda: KPoint(support=(0.0, INF), probs=(0.5, 0.5)),
+    lambda: ExponentialRate(rate=INF),
+    lambda: Weibull(shape=INF, scale=1.0),
+    lambda: Weibull(shape=1.0, scale=INF),
+    lambda: PiecewiseConstant(breakpoints=(INF,), rates=(1.0, 2.0)),
+    lambda: PiecewiseConstant(breakpoints=(1.0,), rates=(1.0, INF)),
+], ids=["negbin_nu", "poisson_eta", "gamma_mean", "gamma_variance",
+        "shifted_p", "zmp_eta", "addams_gamma", "kpoint_support",
+        "exponential_rate", "weibull_shape", "weibull_scale",
+        "piecewise_breakpoint", "piecewise_rate"])
+def test_infinite_parameters_rejected(build):
+    with pytest.raises(ParameterOutOfRange):
+        build()
 
 
 def test_zero_modified_needs_subunit_atom():

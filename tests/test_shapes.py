@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +77,54 @@ class TestClosedForms:
     def test_scalar_in_scalar_out(self):
         out = rfv_at(fs.Poisson(eta=2.0), 1.0)
         assert np.ndim(out) == 0
+
+
+def _pair_sum_rfv(z, p, lam):
+    """k-point RFV as the pair double sum, recentred by 2 z_1."""
+    num = den = 0.0
+    for za, pa in zip(z, p):
+        for zb, pb in zip(z, p):
+            e = math.exp(-(za + zb - 2.0 * z[0]) * lam) * pa * pb
+            num += za * za * e
+            den += za * zb * e
+    return num / den - 1.0
+
+
+class TestKPointClosedForm:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("with_zero", [False, True])
+    def test_matches_pair_double_sum(self, seed, with_zero):
+        # Supports on [0, 2] keep the exponents below 160, where rounding of
+        # the exponent itself stays well inside the bound for both forms.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 10))
+        z = np.sort(rng.uniform(0.0, 2.0, k))
+        if with_zero:
+            z[0] = 0.0
+        probs = rng.dirichlet(np.ones(k))
+        fam = fs.KPoint(support=tuple(z), probs=tuple(probs / probs.sum()))
+        lam = np.concatenate(([0.0, 40.0], rng.uniform(0.0, 40.0, 30)))
+        got = rfv_closed_at(fam, lam)
+        ref = np.array([_pair_sum_rfv(fam.support, fam.probs, x) for x in lam])
+        assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("name", sorted(KPOINT_EXAMPLES))
+    def test_examples_match_high_precision(self, name):
+        mpmath.mp.dps = 50
+        fam = KPOINT_EXAMPLES[name]
+        z = [mpmath.mpf(x) for x in fam.support]
+        p = [mpmath.mpf(x) for x in fam.probs]
+        lam = np.linspace(0.0, 12.0, 97)
+        ref = []
+        for x in lam:
+            w = [pk * mpmath.exp(-zk * mpmath.mpf(x)) for zk, pk in zip(z, p)]
+            m0 = mpmath.fsum(w)
+            m1 = mpmath.fsum(zk * wk for zk, wk in zip(z, w))
+            m2 = mpmath.fsum(zk * zk * wk for zk, wk in zip(z, w))
+            ref.append(float(m2 * m0 / m1**2 - 1))
+        ref = np.array(ref)
+        got = rfv_closed_at(fam, lam)
+        assert np.all(np.abs(got - ref) <= 2e-15 * (1.0 + np.abs(ref)))
 
 
 class TestDerivative:
