@@ -106,7 +106,7 @@ def _cmd_oracle(args) -> int:
     family = family_from_dict(cfg["family"])
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 41}))
     ratio = np.asarray(rfv_at(family, grid))
-    brute = oracle_mod.rfv_grid(family, grid)
+    brute = oracle_mod.rfv(family, grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
     write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),

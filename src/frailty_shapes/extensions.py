@@ -19,7 +19,7 @@ Three constructions reuse the same Laplace-transform machinery:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple, Union
 
 import numpy as np
@@ -37,6 +37,7 @@ from .families import (
     FrailtyFamily,
     GammaFrailty,
     PROB_SUM_TOL,
+    check_grid,
     laplace,
     moments,
     support_table,
@@ -96,9 +97,7 @@ class CorrelatedPoissonModel:
 
     def crf_of_d(self, d):
         """Cross-ratio between any two targets as a function of d."""
-        arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ParameterOutOfRange("d must be finite and nonnegative")
+        arr = np.atleast_1d(check_grid(d))
         out = np.asarray([crf_at(self.w_dist, float(x)) for x in arr])
         return float(out[0]) if np.isscalar(d) or np.ndim(d) == 0 else out
 
@@ -369,6 +368,15 @@ class ConstantFloor:
 
 ShiftPath = Union[ExpHalf, ExpHalfSine, ExpFull, ConstantFloor]
 
+#: The JSON tag of each shift path class; drives the type check of
+#: :class:`TimeVaryingShift` and both directions of the JSON codec.
+_SHIFT_TAGS = {
+    ExpHalf: "exp_half",
+    ExpHalfSine: "exp_half_sine",
+    ExpFull: "exp_full",
+    ConstantFloor: "constant",
+}
+
 
 @dataclass(frozen=True)
 class TimeVaryingShift:
@@ -379,8 +387,7 @@ class TimeVaryingShift:
 
     def __post_init__(self):
         validate(self.inner)
-        if not isinstance(self.shift_fn, (ExpHalf, ExpHalfSine, ExpFull,
-                                          ConstantFloor)):
+        if not isinstance(self.shift_fn, tuple(_SHIFT_TAGS)):
             raise UnsupportedFamily(
                 f"unsupported shift path {type(self.shift_fn)!r}"
             )
@@ -393,9 +400,7 @@ def timevarying_shift_rfv(model: TimeVaryingShift, lam) -> float:
     variance is damped by the squared mean ratio L' / (L' - p L), with L the
     inner survivor transform at Lambda.
     """
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ParameterOutOfRange("lambda grid must be finite and nonnegative")
+    arr = np.atleast_1d(check_grid(lam))
     out = np.empty(arr.shape[0])
     for i, x in enumerate(arr):
         x = float(x)
@@ -412,36 +417,18 @@ def timevarying_shift_rfv(model: TimeVaryingShift, lam) -> float:
     return float(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
 
 
-def shift_value(path: ShiftPath, lam) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    return np.asarray([path.value(float(x)) for x in arr])
-
-
-_SHIFT_TAGS = {
-    ExpHalf: "exp_half",
-    ExpHalfSine: "exp_half_sine",
-    ExpFull: "exp_full",
-    ConstantFloor: "constant",
-}
-
-
 def shift_to_dict(path: ShiftPath) -> dict:
     tag = _SHIFT_TAGS.get(type(path))
     if tag is None:
         raise UnsupportedFamily(f"unsupported shift path {type(path)!r}")
-    if isinstance(path, ConstantFloor):
-        return {"shift": tag, "p0": path.p0}
-    return {"shift": tag, "eta": path.eta}
+    return {"shift": tag, **{f.name: getattr(path, f.name) for f in fields(path)}}
 
 
 def shift_from_dict(d: dict) -> ShiftPath:
+    """Inverse of :func:`shift_to_dict`; keys naming no field are ignored."""
     tag = d.get("shift")
-    if tag == "exp_half":
-        return ExpHalf(eta=float(d["eta"]))
-    if tag == "exp_half_sine":
-        return ExpHalfSine(eta=float(d["eta"]))
-    if tag == "exp_full":
-        return ExpFull(eta=float(d["eta"]))
-    if tag == "constant":
-        return ConstantFloor(p0=float(d["p0"]))
-    raise UnsupportedFamily(f"unknown shift tag {tag!r}")
+    by_tag = {t: cls for cls, t in _SHIFT_TAGS.items()}
+    if tag not in by_tag:
+        raise UnsupportedFamily(f"unknown shift tag {tag!r}")
+    cls = by_tag[tag]
+    return cls(**{f.name: float(d[f.name]) for f in fields(cls)})

@@ -18,9 +18,10 @@ this reduces to the gamma transform with unit mean and variance ``gamma``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -229,8 +230,21 @@ FrailtyFamily = Union[
     ZeroModifiedPoisson, Addams, KPoint, GammaFrailty,
 ]
 
-_FAMILY_TYPES = (NegBin, NegBinPositive, Binomial, Poisson, Shifted,
-                 ZeroModifiedPoisson, Addams, KPoint, GammaFrailty)
+#: The JSON tag of each family class; drives validation and both directions
+#: of the JSON codec.
+_FAMILY_TAGS = {
+    NegBin: "negbin",
+    NegBinPositive: "negbin_positive",
+    Binomial: "binomial",
+    Poisson: "poisson",
+    Shifted: "shifted",
+    ZeroModifiedPoisson: "zero_modified_poisson",
+    Addams: "addams",
+    KPoint: "kpoint",
+    GammaFrailty: "gamma",
+}
+
+_FAMILY_TYPES = tuple(_FAMILY_TAGS)
 
 
 def validate(family: FrailtyFamily) -> None:
@@ -293,6 +307,11 @@ def _zmp_scale(family: ZeroModifiedPoisson) -> float:
     return (1.0 - family.phi * math.exp(-family.eta)) / -math.expm1(-family.eta)
 
 
+def _as_shifted(family: NegBinPositive) -> Shifted:
+    """NegBinPositive(pi, nu) is NegBin(pi, nu) moved up by nu."""
+    return Shifted(inner=NegBin(pi=family.pi, nu=family.nu), p=float(family.nu))
+
+
 def pmf(family: FrailtyFamily, z: float) -> float:
     """P(Z = z).  Raises ``UnsupportedFamily`` for Addams and GammaFrailty."""
     if isinstance(family, (Addams, GammaFrailty)):
@@ -301,6 +320,8 @@ def pmf(family: FrailtyFamily, z: float) -> float:
         )
     if z < 0.0:
         return 0.0
+    if isinstance(family, NegBinPositive):
+        family = _as_shifted(family)
     if isinstance(family, Shifted):
         return pmf(family.inner, z - family.p)
     if isinstance(family, KPoint):
@@ -313,8 +334,6 @@ def pmf(family: FrailtyFamily, z: float) -> float:
         return 0.0
     if isinstance(family, NegBin):
         return float(stats.nbinom.pmf(k, family.nu, family.pi))
-    if isinstance(family, NegBinPositive):
-        return float(stats.nbinom.pmf(k - family.nu, family.nu, family.pi))
     if isinstance(family, Binomial):
         return float(stats.binom.pmf(k, family.n, family.pi))
     if isinstance(family, Poisson):
@@ -337,11 +356,29 @@ def _truncation_point(dist, tail: float) -> int:
 
 
 def support_table(family: FrailtyFamily, tail: float = TAIL_MASS) -> SupportTable:
-    """Truncated support and probabilities with tail mass below ``tail``."""
+    """Truncated support and probabilities with tail mass below ``tail``.
+
+    Tables are memoised on ``(family, tail)`` and returned read-only, so a
+    repeat call gives the same object and no caller can change it.
+    """
+    return _support_table(family, float(tail))
+
+
+@functools.lru_cache(maxsize=128)
+def _support_table(family: FrailtyFamily, tail: float) -> SupportTable:
+    table = _build_support_table(family, tail)
+    table.z.flags.writeable = False
+    table.pmf.flags.writeable = False
+    return table
+
+
+def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
     if isinstance(family, (Addams, GammaFrailty)):
         raise UnsupportedFamily(
             f"{type(family).__name__} has no probability mass function"
         )
+    if isinstance(family, NegBinPositive):
+        family = _as_shifted(family)
     if isinstance(family, KPoint):
         return SupportTable(np.asarray(family.support), np.asarray(family.probs), 0.0)
     if isinstance(family, Shifted):
@@ -351,18 +388,9 @@ def support_table(family: FrailtyFamily, tail: float = TAIL_MASS) -> SupportTabl
         z = np.arange(family.n + 1, dtype=np.float64)
         return SupportTable(z, stats.binom.pmf(np.arange(family.n + 1),
                                                family.n, family.pi), 0.0)
-    if isinstance(family, NegBin):
-        dist = stats.nbinom(family.nu, family.pi)
-        k = _truncation_point(dist, tail)
-        z = np.arange(k + 1, dtype=np.float64)
-        return SupportTable(z, dist.pmf(np.arange(k + 1)), float(dist.sf(k)))
-    if isinstance(family, NegBinPositive):
-        dist = stats.nbinom(family.nu, family.pi)
-        k = _truncation_point(dist, tail)
-        z = np.arange(k + 1, dtype=np.float64) + family.nu
-        return SupportTable(z, dist.pmf(np.arange(k + 1)), float(dist.sf(k)))
-    if isinstance(family, Poisson):
-        dist = stats.poisson(family.eta)
+    if isinstance(family, (NegBin, Poisson)):
+        dist = (stats.nbinom(family.nu, family.pi) if isinstance(family, NegBin)
+                else stats.poisson(family.eta))
         k = _truncation_point(dist, tail)
         z = np.arange(k + 1, dtype=np.float64)
         return SupportTable(z, dist.pmf(np.arange(k + 1)), float(dist.sf(k)))
@@ -387,7 +415,7 @@ def min_support(family: FrailtyFamily) -> float:
     if isinstance(family, (NegBin, Binomial, Poisson)):
         return 0.0
     if isinstance(family, NegBinPositive):
-        return float(family.nu)
+        family = _as_shifted(family)
     if isinstance(family, Shifted):
         return family.p + min_support(family.inner)
     if isinstance(family, ZeroModifiedPoisson):
@@ -432,14 +460,8 @@ def _addams_solution(alpha: float, gamma: float, s_max: float):
 def _laplace_addams(family: Addams, s: np.ndarray) -> LaplaceTriple:
     alpha, gamma = family.alpha, family.gamma
     if alpha == 0.0:
-        # Gamma transform with unit mean and variance gamma.
-        base = 1.0 + gamma * s
-        l0 = base ** (-1.0 / gamma)
-        l1 = -(base ** (-1.0 / gamma - 1.0))
-        l2 = (1.0 + gamma) * base ** (-1.0 / gamma - 2.0)
-        return LaplaceTriple(l0, l1, l2)
-    smax = float(np.max(s)) if s.size else 0.0
-    dense = _addams_solution(alpha, gamma, smax)
+        return _laplace_arrays(GammaFrailty(mean=1.0, variance=gamma), s)
+    dense = _addams_solution(alpha, gamma, float(np.max(s)))
     vals = dense(np.atleast_1d(s))
     l0 = vals[0].reshape(s.shape)
     l1 = vals[1].reshape(s.shape)
@@ -521,17 +543,27 @@ def _laplace_arrays(family: FrailtyFamily, s: np.ndarray) -> LaplaceTriple:
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
 
+def check_grid(lam) -> np.ndarray:
+    """``lam`` as a float array; raises unless it is a non-empty grid of
+    finite, nonnegative generic times (a scalar counts as one point)."""
+    arr = np.asarray(lam, dtype=np.float64)
+    if arr.size == 0:
+        raise ParameterOutOfRange("generic-time grid must be nonempty")
+    if not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
+        raise ParameterOutOfRange("generic times must be finite and nonnegative")
+    return arr
+
+
 def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     """Laplace transform triple (L, L', L'') at ``s`` (scalar or array, s >= 0).
 
-    Postconditions checked here: L in (0, 1], L' <= 0, L'' >= 0, all finite.
-    Violations (underflow of L to zero, overflow to inf/nan) raise
-    :class:`NumericalOverflow` rather than returning non-finite values.  An L
-    rounded up past 1 by at most 1e-12 is returned as 1.
+    ``s`` must pass :func:`check_grid`.  Postconditions checked here: L in
+    (0, 1], L' <= 0, L'' >= 0, all finite.  Violations (underflow of L to
+    zero, overflow to inf/nan) raise :class:`NumericalOverflow` rather than
+    returning non-finite values.  An L rounded up past 1 by at most 1e-12 is
+    returned as 1.
     """
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.size and float(np.min(arr)) < 0.0:
-        raise ParameterOutOfRange(f"laplace argument must be nonnegative, got {np.min(arr)}")
+    arr = check_grid(s)
     triple = _laplace_arrays(family, arr)
     l0, l1, l2 = (np.asarray(v) for v in triple)
     bad = (~np.isfinite(l0) | ~np.isfinite(l1) | ~np.isfinite(l2)
@@ -551,17 +583,16 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-_FAMILY_TAGS = {
-    NegBin: "negbin",
-    NegBinPositive: "negbin_positive",
-    Binomial: "binomial",
-    Poisson: "poisson",
-    Shifted: "shifted",
-    ZeroModifiedPoisson: "zero_modified_poisson",
-    Addams: "addams",
-    KPoint: "kpoint",
-    GammaFrailty: "gamma",
-}
+def _to_json(value):
+    """A field value in JSON form: nested families as dicts, tuples as lists."""
+    if type(value) in _FAMILY_TAGS:
+        return family_to_dict(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _from_json(value):
+    """Inverse of :func:`_to_json`; lists stay lists for the constructors."""
+    return family_from_dict(value) if isinstance(value, dict) else value
 
 
 def family_to_dict(family: FrailtyFamily) -> dict:
@@ -569,38 +600,28 @@ def family_to_dict(family: FrailtyFamily) -> dict:
     tag = _FAMILY_TAGS.get(type(family))
     if tag is None:
         raise UnsupportedFamily(f"not a frailty family: {family!r}")
-    if isinstance(family, Shifted):
-        params = {"inner": family_to_dict(family.inner), "p": family.p}
-    elif isinstance(family, KPoint):
-        params = {"support": list(family.support), "probs": list(family.probs)}
-    else:
-        params = {k: getattr(family, k) for k in family.__dataclass_fields__}
-    return {"family": tag, "params": params}
+    return {"family": tag,
+            "params": {f.name: _to_json(getattr(family, f.name)) for f in fields(family)}}
 
 
 def family_from_dict(spec: dict) -> FrailtyFamily:
-    """Build a family from its dict form, validating all parameters."""
+    """Build a family from its dict form, validating all parameters.
+
+    Keys of ``params`` that name no field of the family are ignored.
+    """
     try:
         tag = spec["family"]
         params = dict(spec.get("params", {}))
     except (TypeError, KeyError) as exc:
         raise ParameterOutOfRange(f"malformed family spec: {spec!r}") from exc
-    builders = {
-        "negbin": lambda p: NegBin(pi=p["pi"], nu=p["nu"]),
-        "negbin_positive": lambda p: NegBinPositive(pi=p["pi"], nu=p["nu"]),
-        "binomial": lambda p: Binomial(pi=p["pi"], n=p["n"]),
-        "poisson": lambda p: Poisson(eta=p["eta"]),
-        "shifted": lambda p: Shifted(inner=family_from_dict(p["inner"]), p=p["p"]),
-        "zero_modified_poisson": lambda p: ZeroModifiedPoisson(eta=p["eta"], phi=p["phi"]),
-        "addams": lambda p: Addams(alpha=p["alpha"], gamma=p["gamma"]),
-        "kpoint": lambda p: KPoint(support=tuple(p["support"]), probs=tuple(p["probs"])),
-        "gamma": lambda p: GammaFrailty(mean=p["mean"], variance=p["variance"]),
-    }
-    if tag not in builders:
+    by_tag = {t: cls for cls, t in _FAMILY_TAGS.items()}
+    if tag not in by_tag:
         raise UnsupportedFamily(
-            f"unknown family tag {tag!r}; expected one of {sorted(builders)}"
+            f"unknown family tag {tag!r}; expected one of {sorted(by_tag)}"
         )
+    cls = by_tag[tag]
     try:
-        return builders[tag](params)
+        kwargs = {f.name: _from_json(params[f.name]) for f in fields(cls)}
     except KeyError as exc:
         raise ParameterOutOfRange(f"family {tag!r} is missing parameter {exc}") from exc
+    return cls(**kwargs)

@@ -9,7 +9,7 @@ cumulative hazards, :func:`generic_time`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -129,6 +129,7 @@ def generic_time(hazards, t) -> float:
     return float(sum(h.cumulative(ti) for h, ti in zip(hazards, t)))
 
 
+#: The JSON tag of each hazard class; drives both directions of the codec.
 _HAZARD_TAGS = {ExponentialRate: "exponential", Weibull: "weibull",
                 PiecewiseConstant: "piecewise"}
 
@@ -137,30 +138,25 @@ def hazard_to_dict(hazard: BaselineHazard) -> dict:
     tag = _HAZARD_TAGS.get(type(hazard))
     if tag is None:
         raise ParameterOutOfRange(f"not a baseline hazard: {hazard!r}")
-    if isinstance(hazard, PiecewiseConstant):
-        params = {"breakpoints": list(hazard.breakpoints), "rates": list(hazard.rates)}
-    else:
-        params = {k: getattr(hazard, k) for k in hazard.__dataclass_fields__}
-    return {"hazard": tag, "params": params}
+    params = {f.name: getattr(hazard, f.name) for f in fields(hazard)}
+    return {"hazard": tag,
+            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}
 
 
 def hazard_from_dict(spec: dict) -> BaselineHazard:
+    """Inverse of :func:`hazard_to_dict`; params keys naming no field are ignored."""
     try:
         tag = spec["hazard"]
         params = dict(spec.get("params", {}))
     except (TypeError, KeyError) as exc:
         raise ParameterOutOfRange(f"malformed hazard spec: {spec!r}") from exc
-    builders = {
-        "exponential": lambda p: ExponentialRate(rate=p["rate"]),
-        "weibull": lambda p: Weibull(shape=p["shape"], scale=p["scale"]),
-        "piecewise": lambda p: PiecewiseConstant(breakpoints=tuple(p["breakpoints"]),
-                                                 rates=tuple(p["rates"])),
-    }
-    if tag not in builders:
+    by_tag = {t: cls for cls, t in _HAZARD_TAGS.items()}
+    if tag not in by_tag:
         raise ParameterOutOfRange(
-            f"unknown hazard tag {tag!r}; expected one of {sorted(builders)}"
+            f"unknown hazard tag {tag!r}; expected one of {sorted(by_tag)}"
         )
     try:
-        return builders[tag](params)
+        kwargs = {f.name: params[f.name] for f in fields(by_tag[tag])}
     except KeyError as exc:
         raise ParameterOutOfRange(f"hazard {tag!r} is missing parameter {exc}") from exc
+    return by_tag[tag](**kwargs)

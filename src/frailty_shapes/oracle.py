@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateConditional, NumericalOverflow, ParameterOutOfRange
-from .families import FrailtyFamily, TAIL_MASS, support_table
+from .families import FrailtyFamily, TAIL_MASS, check_grid, support_table
 
 #: The post-conditioning tail bound enforced on every survivor distribution.
 TAIL_BOUND = 1e-12
@@ -36,30 +36,28 @@ class SurvivorPmf:
     tail_mass_bound: float
 
 
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ParameterOutOfRange(f"generic time must be finite and nonnegative, got {lam}")
-    return lam
+def _survivor_sums(family: FrailtyFamily, lams: np.ndarray):
+    """(table, m1, m2, first, bound) at each point of the 1-d grid ``lams``.
 
-
-def _weights(family: FrailtyFamily, lam: float):
-    """(support, unconditional pmf, recentred weights, post-conditioning tail bound)."""
+    ``m1``, ``m2`` and ``first`` are the survivor sums of
+    :func:`_kernels.survivor_moment_grid` over the first of three ever finer
+    support tables whose post-conditioning tail bound ``bound`` is below
+    ``TAIL_BOUND`` at every grid point.
+    """
     for attempt in range(3):
         table = support_table(family, TAIL_MASS * 10.0 ** (-4 * attempt))
-        z, g = table.z, table.pmf
-        w = g * np.exp(-(z - z[0]) * lam)
-        total = w.sum()
-        if total <= 0.0 or not np.isfinite(total):
+        z = table.z
+        total, m1, m2, first = _kernels.survivor_moment_grid(z, table.pmf, lams)
+        if not np.all((total > 0.0) & np.isfinite(total)):
             raise NumericalOverflow(
-                f"survivor weights of {family} degenerate at lam={lam}"
+                f"survivor weights of {family} degenerate at lam={lams}"
             )
         # Mass beyond the truncation point, after conditioning, is at most
         # exp(-(z_K - z_1) lam) * tail / total -- conditioning only downweights
         # support points beyond z_K relative to the retained ones.
-        bound = np.exp(-(z[-1] - z[0]) * lam) * table.tail_mass / total
-        if bound < TAIL_BOUND:
-            return z, g, w, float(bound)
+        bound = np.exp(-(z[-1] - z[0]) * lams) * table.tail_mass / total
+        if np.all(bound < TAIL_BOUND):
+            return table, m1, m2, first, bound
     raise NumericalOverflow(
         f"could not push the survivor tail bound below {TAIL_BOUND} for {family}"
     )
@@ -67,56 +65,43 @@ def _weights(family: FrailtyFamily, lam: float):
 
 def survivor_pmf(family: FrailtyFamily, lam: float) -> SurvivorPmf:
     """Conditional pmf of Z among survivors at generic time ``lam``."""
-    lam = _check_lam(lam)
-    z, _, w, bound = _weights(family, lam)
-    return SurvivorPmf(lam=lam, support=z, probs=w / w.sum(), tail_mass_bound=bound)
+    lam = float(check_grid(lam))
+    table, _, _, _, bound = _survivor_sums(family, np.array([lam]))
+    z = table.z
+    w = table.pmf * np.exp(-(z - z[0]) * lam)
+    return SurvivorPmf(lam=lam, support=z, probs=w / w.sum(),
+                       tail_mass_bound=float(bound[0]))
 
 
 def survivor_moment(family: FrailtyFamily, lam: float, q: int) -> float:
     """q-th raw moment of the survivor frailty distribution."""
     if q not in (1, 2):
         raise ParameterOutOfRange(f"only moments q=1,2 are supported, got {q}")
-    lam = _check_lam(lam)
-    z, _, w, _ = _weights(family, lam)
-    probs = w / w.sum()
-    return float(probs @ z) if q == 1 else float(probs @ (z * z))
+    pmf = survivor_pmf(family, lam)
+    return float(pmf.probs @ pmf.support ** q)
 
 
-def rfv(family: FrailtyFamily, lam: float) -> float:
-    """Relative frailty variance Var(Z | T > t) / E(Z | T > t)^2 at ``lam``.
+def rfv(family: FrailtyFamily, lam):
+    """Relative frailty variance Var(Z | T > t) / E(Z | T > t)^2 at ``lam``;
+    scalar in, scalar out, or over a grid.
 
     Variance is formed from moments recentred at the smallest support point,
     which keeps it accurate when the survivors concentrate there.
     """
-    lam = _check_lam(lam)
-    z, g, _, _ = _weights(family, lam)
-    _, m1, m2, _ = _kernels.survivor_moment_grid(z, g, np.array([lam]))
-    mean = z[0] + m1[0]
-    var = m2[0] - m1[0] ** 2
-    if mean <= 0.0:
-        raise DegenerateConditional(
-            f"survivor mean of {family} vanished at lam={lam}"
-        )
-    return float(var / mean**2)
-
-
-def rfv_grid(family: FrailtyFamily, lams) -> np.ndarray:
-    """Vectorized :func:`rfv` over a grid of generic times."""
-    lams = np.asarray(lams, dtype=np.float64)
-    if lams.size and (not np.all(np.isfinite(lams)) or float(lams.min()) < 0.0):
-        raise ParameterOutOfRange("generic-time grid must be finite and nonnegative")
-    table = support_table(family)
-    z, g = table.z, table.pmf
-    _, m1, m2, _ = _kernels.survivor_moment_grid(z, g, lams)
-    mean = z[0] + m1
+    arr = check_grid(lam)
+    table, m1, m2, _, _ = _survivor_sums(family, np.atleast_1d(arr))
+    mean = table.z[0] + m1
     if np.any(mean <= 0.0):
-        raise DegenerateConditional(f"survivor mean of {family} vanished on the grid")
-    return (m2 - m1**2) / mean**2
+        raise DegenerateConditional(f"survivor mean of {family} vanished at lam={lam}")
+    out = (m2 - m1**2) / mean**2
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def smallest_point_prob_grid(family: FrailtyFamily, lams) -> np.ndarray:
     """Conditional probability of the smallest support point over a grid."""
-    lams = np.asarray(lams, dtype=np.float64)
-    table = support_table(family)
-    _, _, _, first = _kernels.survivor_moment_grid(table.z, table.pmf, lams)
-    return first
+    return _survivor_sums(family, np.atleast_1d(check_grid(lams)))[3]
+
+
+#: The former name of :func:`rfv` on a grid, kept only because
+#: ``perfbench/traced_cli.py`` looks it up; new code calls :func:`rfv`.
+rfv_grid = rfv

@@ -41,8 +41,10 @@ from .families import (
     Poisson,
     Shifted,
     ZeroModifiedPoisson,
+    check_grid,
     family_to_dict,
     laplace,
+    min_support,
 )
 
 #: Number of intervals in the stationary-point scan grid.
@@ -83,15 +85,6 @@ class ShapeCurve:
     stationary_points: tuple
     tail: TailClass
     overflow: np.ndarray
-
-
-def _check_grid(lam) -> np.ndarray:
-    arr = np.asarray(lam, dtype=np.float64)
-    if arr.size == 0:
-        raise ParameterOutOfRange("generic-time grid must be nonempty")
-    if not np.all(np.isfinite(arr)) or float(arr.min()) < 0.0:
-        raise ParameterOutOfRange("generic times must be finite and nonnegative")
-    return arr
 
 
 def rfv_at(family: FrailtyFamily, lam):
@@ -139,7 +132,7 @@ def zmp_derivative_terms(family: ZeroModifiedPoisson, lam):
 
 def rfv_closed_at(family: FrailtyFamily, lam):
     """Per-family closed form of the RFV, independent of :func:`laplace`."""
-    arr = _check_grid(lam)
+    arr = check_grid(lam)
     out = _rfv_closed(family, arr)
     if np.any(~np.isfinite(out)):
         raise NumericalOverflow(f"closed-form RFV of {family} overflowed at lam={lam}")
@@ -199,7 +192,7 @@ def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
 def rfv_derivative(family: FrailtyFamily, lam):
     """d RFV / d lam; analytic where the closed form factors cleanly,
     otherwise a central finite difference of :func:`rfv_at`."""
-    arr = _check_grid(lam)
+    arr = check_grid(lam)
     out = _rfv_derivative(family, arr)
     return float(out) if np.ndim(lam) == 0 else out
 
@@ -291,7 +284,7 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     lambda_max = float(lambda_max)
     if not (np.isfinite(lambda_max) and lambda_max > 0.0):
         raise ParameterOutOfRange(f"lambda_max must be positive, got {lambda_max}")
-    if isinstance(family, GammaFrailty) or (isinstance(family, Addams) and family.alpha == 0.0):
+    if classify_tail(family) is TailClass.CONSTANT:
         return ()  # constant RFV: no isolated stationary points
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     with np.errstate(over="ignore"):
@@ -333,35 +326,22 @@ def classify_tail(family: FrailtyFamily) -> TailClass:
     """Limit behaviour of the RFV, decided structurally, never numerically.
 
     Mass at zero (smallest support point 0) sends the RFV to infinity; a
-    positive smallest support point sends it to zero; gamma and exponent-zero
-    Addams families are flat.
+    positive smallest support point sends it to zero.  Addams families follow
+    the sign of their exponent; gamma and exponent-zero Addams families are
+    flat.
     """
-    if isinstance(family, (NegBin, Binomial, Poisson)):
-        return TailClass.INCREASING_TO_INFINITY
-    if isinstance(family, NegBinPositive):
-        return TailClass.DECREASING_TO_ZERO
-    if isinstance(family, Shifted):
-        return classify_tail(family.inner) if family.p == 0.0 else TailClass.DECREASING_TO_ZERO
-    if isinstance(family, ZeroModifiedPoisson):
-        return (TailClass.INCREASING_TO_INFINITY if family.phi > 0.0
+    if isinstance(family, Addams) and family.alpha != 0.0:
+        return (TailClass.INCREASING_TO_INFINITY if family.alpha > 0.0
                 else TailClass.DECREASING_TO_ZERO)
-    if isinstance(family, Addams):
-        if family.alpha > 0.0:
-            return TailClass.INCREASING_TO_INFINITY
-        if family.alpha < 0.0:
-            return TailClass.DECREASING_TO_ZERO
+    if isinstance(family, (Addams, GammaFrailty)):
         return TailClass.CONSTANT
-    if isinstance(family, KPoint):
-        return (TailClass.INCREASING_TO_INFINITY if family.support[0] == 0.0
-                else TailClass.DECREASING_TO_ZERO)
-    if isinstance(family, GammaFrailty):
-        return TailClass.CONSTANT
-    raise UnsupportedFamily(f"not a frailty family: {family!r}")
+    return (TailClass.INCREASING_TO_INFINITY if min_support(family) == 0.0
+            else TailClass.DECREASING_TO_ZERO)
 
 
 def curve(family: FrailtyFamily, grid) -> ShapeCurve:
     """Evaluate the RFV/CRF over ``grid`` and assemble the full curve."""
-    arr = _check_grid(grid)
+    arr = check_grid(grid)
     if not np.all(np.diff(arr) > 0.0):
         raise ParameterOutOfRange("curve grid must be strictly increasing")
     rfv = np.empty(arr.shape)

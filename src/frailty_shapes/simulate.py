@@ -171,16 +171,14 @@ def _rfv_from_counts(support, counts):
         return var / mean**2, mean
 
 
-def empirical_rfv(samples: SampleSet, hazards, t) -> EmpiricalEstimate:
+def empirical_rfv(samples: SampleSet, t) -> EmpiricalEstimate:
     """Sample Var/mean^2 of Z among clusters with all event times past ``t``.
 
     The standard error is a nonparametric bootstrap over clusters
     (multinomial resampling of the at-risk frailty-value counts, 200
     resamples, stream derived from the simulation seed).
     """
-    if len(hazards) != len(samples.config.hazards):
-        raise LengthMismatch("hazards do not match the simulated configuration")
-    t = _check_time_vector(hazards, t)
+    t = _check_time_vector(samples.config.hazards, t)
     counts = _kernels.riskset_value_counts(samples.codes, samples.times, t,
                                            samples.support.shape[0])
     m = int(counts.sum())
@@ -197,7 +195,7 @@ def empirical_rfv(samples: SampleSet, hazards, t) -> EmpiricalEstimate:
     return EmpiricalEstimate(float(est), se, m)
 
 
-def empirical_crf(samples: SampleSet, hazards, t, j: int, j_prime: int,
+def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
                   window: float = 0.05) -> EmpiricalEstimate:
     """Windowed hazard-ratio estimate of the cross-ratio at time vector ``t``.
 
@@ -210,15 +208,13 @@ def empirical_crf(samples: SampleSet, hazards, t, j: int, j_prime: int,
     resamples).
     """
     jn = len(samples.config.hazards)
-    if len(hazards) != jn:
-        raise LengthMismatch("hazards do not match the simulated configuration")
     if jn < 2:
         raise LengthMismatch("the cross-ratio needs at least two targets")
     if j == j_prime or not (0 <= j < jn and 0 <= j_prime < jn):
         raise ParameterOutOfRange(
             f"need two distinct target indices in [0, {jn}), got {j}, {j_prime}"
         )
-    t = _check_time_vector(hazards, t)
+    t = _check_time_vector(samples.config.hazards, t)
     if not window > 0.0:
         raise ParameterOutOfRange(f"window must be positive, got {window}")
     others = [q for q in range(jn) if q not in (j, j_prime)]

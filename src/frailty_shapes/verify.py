@@ -152,7 +152,7 @@ def _crit_oracle_equivalence() -> list:
     checks = []
     for fam in _pmf_families():
         ratio = np.asarray(rfv_at(fam, _GRID))
-        brute = oracle.rfv_grid(fam, _GRID)
+        brute = oracle.rfv(fam, _GRID)
         rel = float(np.max(np.abs(ratio - brute) / np.abs(brute)))
         checks.append(_below(f"rel err {_describe(fam)}", rel, 1e-8))
     return checks
@@ -263,7 +263,7 @@ def _crit_mc_selection() -> list:
         samples = simulate(SimConfig(family=fam, hazards=hazards,
                                      n_clusters=n, seed=seed))
         for t in times:
-            est = empirical_rfv(samples, hazards, [t])
+            est = empirical_rfv(samples, [t])
             target = float(rfv_at(fam, t))
             checks.append(_close(f"rfv {_describe(fam)} t={t}", est.estimate,
                                  target, 3.0 * est.std_error))
@@ -289,10 +289,10 @@ def _crit_crf_identity() -> list:
 
     # Shrink the window until halving it moves the estimate by < 0.5 SE.
     window = 0.05
-    est = empirical_crf(samples, hazards, t, 0, 1, window=window)
+    est = empirical_crf(samples, t, 0, 1, window=window)
     for _ in range(4):
         try:
-            finer = empirical_crf(samples, hazards, t, 0, 1, window=window / 2.0)
+            finer = empirical_crf(samples, t, 0, 1, window=window / 2.0)
         except (TooFewAtRisk, EmptyWindow):
             break
         moved = abs(finer.estimate - est.estimate)
@@ -308,7 +308,7 @@ def _crit_crf_identity() -> list:
     checks.append(_close(f"crf at generic time ln2 (window={window:g})",
                          est.estimate, target, tol))
 
-    swapped = empirical_crf(samples, hazards, t, 1, 0, window=window)
+    swapped = empirical_crf(samples, t, 1, 0, window=window)
     checks.append(_close("symmetry under swapping the target pair",
                          swapped.estimate, est.estimate,
                          3.0 * (swapped.std_error + est.std_error)))

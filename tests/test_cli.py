@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -286,6 +287,63 @@ class TestVerifyCommand:
         rc, out, _ = run_main(["verify"], capsys)
         assert rc == 1
         assert json.loads(out)["passed"] is False
+
+
+#: A tiny config per subcommand, with the extra arguments it runs with.
+#: Output paths are relative, so each run writes into its own directory.
+RERUN_JOBS = {
+    "curve": ({**POISSON_CFG, "grid": {"start": 0.0, "stop": 2.0, "points": 5},
+               "out": "curve.csv"}, []),
+    "fig2": ({"grid": {"start": 0.0, "stop": 2.0, "points": 9}, "out_dir": "."}, []),
+    "oracle": ({"family": {"family": "negbin", "params": {"pi": 0.5, "nu": 2.0}},
+                "grid": {"start": 0.0, "stop": 3.0, "points": 7},
+                "out": "oracle.csv"}, []),
+    "simulate": ({"sim": {"family": {"family": "zero_modified_poisson",
+                                     "params": {"eta": 3.0, "phi": 0.05}},
+                          "hazards": [EXP_HAZARD, {"hazard": "piecewise", "params": {
+                              "breakpoints": [0.5], "rates": [0.5, 1.5]}}],
+                          "n_clusters": 300, "seed": 5, "censor_time": 2.0},
+                  "summary_times": [[0.5, 0.5]], "out": "sim.csv"}, []),
+    "correlated": ({"model": {"etas": [1.0, 2.0],
+                              "w_dist": {"family": "kpoint", "params": {
+                                  "support": [0.5, 1.5], "probs": [0.5, 0.5]}},
+                              "hazards": [EXP_HAZARD, EXP_HAZARD]},
+                    "grid": {"start": 0.0, "stop": 3.0, "points": 7},
+                    "out": "correlated.csv"}, []),
+    "piecewise": ({"model": {"cutpoints": [0.5],
+                             "segment_families": [
+                                 {"family": "poisson", "params": {"eta": 2.0}},
+                                 {"family": "negbin", "params": {"pi": 0.3, "nu": 4.0}}],
+                             "hazards": [EXP_HAZARD]},
+                   "grid": {"start": 0.5, "stop": 2.0, "points": 7},
+                   "out": "piecewise.csv"}, []),
+    "timevarying": ({"inner": {"family": "poisson", "params": {"eta": 4.0}},
+                     "shift": {"shift": "exp_half_sine", "eta": 4.0},
+                     "grid": {"start": 0.0, "stop": 10.0, "points": 6},
+                     "out": "timevarying.csv"}, []),
+    "verify": ({"only": ["tail_limits"]}, ["--out", "report.json"]),
+}
+
+
+def test_every_subcommand_reruns_byte_identical(tmp_path, capsys, monkeypatch):
+    assert set(RERUN_JOBS) == set(cli._COMMANDS)
+    for command, (config, extra) in RERUN_JOBS.items():
+        runs = []
+        for run in ("first", "second"):
+            out_dir = tmp_path / command / run
+            out_dir.mkdir(parents=True)
+            monkeypatch.chdir(out_dir)
+            cfg = write_cfg(tmp_path / command, f"{run}.json", config)
+            rc, _, err = run_main([command, "--config", cfg] + extra, capsys)
+            assert rc == 0, err
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            if command == "verify":
+                # the report's only non-deterministic bytes: criterion run times
+                files["report.json"] = re.sub(rb'"seconds": [0-9.e+-]+', b'"seconds": 0',
+                                              files["report.json"])
+            runs.append(files)
+        assert runs[0], f"{command} wrote no files"
+        assert runs[0] == runs[1], f"{command} outputs differ between reruns"
 
 
 def test_module_entry_point_end_to_end(tmp_path):

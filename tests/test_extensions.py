@@ -331,7 +331,13 @@ class TestTimeVaryingShift:
                    ConstantFloor(p0=0.5)):
             again = shift_from_dict(shift_to_dict(fn))
             assert repr(again) == repr(fn)
+            spec = {**shift_to_dict(fn), "period": 3.0}  # ignored
+            assert shift_from_dict(spec) == fn
+            (field,) = set(spec) - {"shift", "period"}
+            del spec[field]
+            with pytest.raises(KeyError, match=f"^'{field}'$"):
+                shift_from_dict(spec)
 
     def test_unknown_shift_tag(self):
-        with pytest.raises(fs.UnsupportedFamily):
+        with pytest.raises(fs.UnsupportedFamily, match="^unknown shift tag 'linear'$"):
             shift_from_dict({"shift": "linear", "slope": 1.0})

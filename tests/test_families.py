@@ -86,6 +86,12 @@ class TestLaplaceValues:
         s = np.linspace(0.0, 4.0, 9)
         l0 = np.array([laplace(fam, si).l0 for si in s])
         assert_allclose(l0, (1.0 + 0.5 * s) ** -2.0, rtol=1e-12)
+        # and the whole triple is that of GammaFrailty(1, gamma), bit for bit
+        s = np.linspace(0.0, 20.0, 2001)
+        for gamma in (0.1, 0.5, 1.0, 3.7):
+            got = laplace(Addams(alpha=0.0, gamma=gamma), s)
+            want = laplace(GammaFrailty(mean=1.0, variance=gamma), s)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestPmf:
@@ -107,6 +113,13 @@ class TestPmf:
         for k in (0, 1, 5):
             assert_allclose(pmf(fam, float(2 + k)), base.pmf(k), rtol=1e-12)
         assert pmf(fam, 1.0) == 0.0  # support starts at nu
+        # its support table is NegBin's moved up by nu, bit for bit
+        for pi, nu in ((0.4, 2), (0.3, 4), (0.75, 1)):
+            moved = support_table(NegBinPositive(pi=pi, nu=nu))
+            base_table = support_table(NegBin(pi=pi, nu=nu))
+            assert np.array_equal(moved.z, base_table.z + nu)
+            assert np.array_equal(moved.pmf, base_table.pmf)
+            assert moved.tail_mass == base_table.tail_mass
 
     def test_zero_modified_moves_mass_at_zero(self):
         eta, phi = 3.0, 0.05
@@ -278,8 +291,33 @@ def test_dict_round_trip():
     for fam in fams:
         again = family_from_dict(family_to_dict(fam))
         assert repr(again) == repr(fam)
+        spec = family_to_dict(fam)
+        spec["params"]["extra"] = 1.0  # keys naming no field are ignored
+        assert family_from_dict(spec) == fam
+        missing = next(iter(spec["params"]))
+        del spec["params"][missing]
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^family '{spec['family']}' is missing parameter '{missing}'$"):
+            family_from_dict(spec)
+    # a nested family names its own missing parameter
+    with pytest.raises(ParameterOutOfRange,
+                       match="^family 'poisson' is missing parameter 'eta'$"):
+        family_from_dict({"family": "shifted",
+                          "params": {"inner": {"family": "poisson"}, "p": 1.0}})
 
 
 def test_unknown_tag_rejected():
-    with pytest.raises(UnsupportedFamily):
+    with pytest.raises(UnsupportedFamily, match="^unknown family tag 'zeta'; expected one of "
+                       r"\['addams', 'binomial', 'gamma', "):
         family_from_dict({"family": "zeta", "params": {}})
+
+
+def test_support_table_is_memoised_and_read_only():
+    fam = NegBin(pi=0.3, nu=4.0)
+    table = support_table(fam)
+    assert support_table(fam) is table
+    with pytest.raises(ValueError):
+        table.z[0] = 1.0
+    with pytest.raises(ValueError):
+        table.pmf[0] = 0.0
+

@@ -115,10 +115,24 @@ def test_generic_time_length_checked():
         generic_time((ExponentialRate(rate=1.0),), (0.5, 0.5))
 
 
+def test_dict_unknown_tag_rejected():
+    with pytest.raises(ParameterOutOfRange, match="^unknown hazard tag 'gompertz'; "
+                       r"expected one of \['exponential', 'piecewise', 'weibull'\]$"):
+        hazard_from_dict({"hazard": "gompertz", "params": {}})
+
+
 def test_dict_round_trip():
     for hz in HAZARDS:
         again = hazard_from_dict(hazard_to_dict(hz))
         assert repr(again) == repr(hz)
+        spec = hazard_to_dict(hz)
+        spec["params"]["extra"] = [1.0]  # keys naming no field are ignored
+        assert hazard_from_dict(spec) == hz
+        missing = next(iter(spec["params"]))
+        del spec["params"][missing]
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^hazard '{spec['hazard']}' is missing parameter '{missing}'$"):
+            hazard_from_dict(spec)
         t = np.linspace(0.1, 3.0, 7)
         assert_allclose(np.asarray(again.cumulative(t)),
                         np.asarray(hz.cumulative(t)), rtol=1e-15)

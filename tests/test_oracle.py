@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 import frailty_shapes as fs
 from frailty_shapes.oracle import (
     rfv,
-    rfv_grid,
     smallest_point_prob_grid,
     survivor_moment,
     survivor_pmf,
@@ -76,7 +75,7 @@ def test_smallest_point_probability_grows_to_one():
 def test_rfv_grid_matches_scalar_calls():
     fam = fs.ZeroModifiedPoisson(eta=3.0, phi=0.05)
     lams = np.linspace(0.0, 4.0, 9)
-    grid = rfv_grid(fam, lams)
+    grid = rfv(fam, lams)
     scalars = [rfv(fam, float(la)) for la in lams]
     assert_allclose(grid, scalars, rtol=1e-13)
 

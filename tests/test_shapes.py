@@ -221,6 +221,13 @@ class TestTailClassification:
         (fs.GammaFrailty(mean=1.0, variance=0.5), TailClass.CONSTANT),
         (KPOINT_EXAMPLES["set1"], TailClass.DECREASING_TO_ZERO),
         (KPOINT_EXAMPLES["set2"], TailClass.INCREASING_TO_INFINITY),
+        (KPOINT_EXAMPLES["set3"], TailClass.DECREASING_TO_ZERO),
+        (KPOINT_EXAMPLES["set4"], TailClass.INCREASING_TO_INFINITY),
+        (fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.0),
+         TailClass.INCREASING_TO_INFINITY),
+        (fs.Shifted(inner=fs.Binomial(pi=0.3, n=5), p=0.4), TailClass.DECREASING_TO_ZERO),
+        (fs.ZeroModifiedPoisson(eta=2.0, phi=2.0), TailClass.INCREASING_TO_INFINITY),
+        (fs.NegBinPositive(pi=0.4, nu=1), TailClass.DECREASING_TO_ZERO),
     ])
     def test_family_map(self, fam, want):
         assert classify_tail(fam) is want
@@ -284,3 +291,34 @@ def test_builtin_example_sets_are_distributions():
         assert len(fam.support) == 8
         assert_allclose(np.sum(fam.probs), 1.0, atol=1e-12)
         assert np.all(np.diff(fam.support) > 0.0)
+
+
+_POISSON2 = fs.Poisson(eta=2.0)
+_CORRELATED = fs.CorrelatedPoissonModel(
+    etas=(1.0, 2.0), w_dist=fs.GammaFrailty(mean=1.0, variance=0.5),
+    hazards=(fs.ExponentialRate(rate=1.0), fs.ExponentialRate(rate=1.0)))
+_DRIFTING = fs.TimeVaryingShift(inner=_POISSON2, shift_fn=fs.ExpHalf(eta=2.0))
+
+#: Every public evaluator of generic time, with its family or model bound.
+GENERIC_TIME_EVALUATORS = {
+    "laplace": lambda lam: fs.laplace(_POISSON2, lam),
+    "rfv_at": lambda lam: fs.rfv_at(_POISSON2, lam),
+    "crf_at": lambda lam: fs.crf_at(_POISSON2, lam),
+    "rfv_closed_at": lambda lam: fs.rfv_closed_at(_POISSON2, lam),
+    "rfv_derivative": lambda lam: fs.rfv_derivative(_POISSON2, lam),
+    "curve": lambda lam: fs.curve(_POISSON2, lam),
+    "oracle_rfv": lambda lam: fs.oracle_rfv(_POISSON2, lam),
+    "survivor_pmf": lambda lam: fs.survivor_pmf(_POISSON2, lam),
+    "survivor_moment": lambda lam: fs.survivor_moment(_POISSON2, lam, 1),
+    "smallest_point_prob_grid": lambda lam: fs.smallest_point_prob_grid(_POISSON2, lam),
+    "crf_of_d": lambda lam: _CORRELATED.crf_of_d(lam),
+    "timevarying_shift_rfv": lambda lam: fs.timevarying_shift_rfv(_DRIFTING, lam),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, []],
+                         ids=["nan", "inf", "negative", "empty"])
+@pytest.mark.parametrize("name", sorted(GENERIC_TIME_EVALUATORS))
+def test_generic_time_must_be_finite_nonnegative_nonempty(name, bad):
+    with pytest.raises(fs.ParameterOutOfRange):
+        GENERIC_TIME_EVALUATORS[name](bad)

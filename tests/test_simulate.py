@@ -104,7 +104,7 @@ class TestAgainstTheory:
         for t in (0.0, 0.7, 1.4):
             lam = float(EXP1.cumulative(t))
             want = float(fs.rfv_at(POISSON2, lam))
-            got = empirical_rfv(poisson_samples, (EXP1,), (t,))
+            got = empirical_rfv(poisson_samples, (t,))
             assert abs(got.estimate - want) < 4 * got.std_error
             assert got.n_at_risk > 1000
 
@@ -116,7 +116,7 @@ class TestAgainstTheory:
                                n_clusters=100_000, seed=31))
         t = 1.1
         lam = float(wb.cumulative(t))
-        got = empirical_rfv(s, (wb,), (t,))
+        got = empirical_rfv(s, (t,))
         assert abs(got.estimate - float(fs.rfv_at(POISSON2, lam))) < 4 * got.std_error
 
     def test_empirical_crf_near_three_for_two_point_family(self):
@@ -125,7 +125,7 @@ class TestAgainstTheory:
                         seed=77)
         s = simulate(cfg)
         t = (np.log(2.0) / 2.0, np.log(2.0) / 2.0)
-        got = empirical_crf(s, cfg.hazards, t, 0, 1, window=0.05)
+        got = empirical_crf(s, t, 0, 1, window=0.05)
         assert abs(got.estimate - 3.0) < 4 * got.std_error
 
     def test_near_degenerate_frailty_has_unit_cross_ratio(self):
@@ -134,9 +134,9 @@ class TestAgainstTheory:
         cfg = SimConfig(family=kp, hazards=(EXP1, EXP1), n_clusters=80_000,
                         seed=13)
         s = simulate(cfg)
-        got = empirical_crf(s, cfg.hazards, (0.3, 0.3), 0, 1, window=0.05)
+        got = empirical_crf(s, (0.3, 0.3), 0, 1, window=0.05)
         assert abs(got.estimate - 1.0) < 4 * got.std_error
-        rfv = empirical_rfv(s, cfg.hazards, (0.3, 0.3))
+        rfv = empirical_rfv(s, (0.3, 0.3))
         assert rfv.estimate < 1e-12
 
 
@@ -146,24 +146,24 @@ class TestEstimatorGuards:
         nb = fs.NegBinPositive(pi=0.4, nu=2.0)
         s = simulate(_cfg(family=nb, n_clusters=500, seed=3))
         with pytest.raises(fs.TooFewAtRisk):
-            empirical_rfv(s, (EXP1,), (50.0,))
+            empirical_rfv(s, (50.0,))
 
     def test_all_cured_risk_set_is_degenerate(self):
         # with Poisson mixing the late risk set is all cured clusters (z = 0),
         # where Var/mean^2 stops making sense
         s = simulate(_cfg(n_clusters=2000, seed=3))
         with pytest.raises(fs.DegenerateConditional):
-            empirical_rfv(s, (EXP1,), (50.0,))
+            empirical_rfv(s, (50.0,))
 
     def test_empty_window(self):
         s = simulate(_cfg(n_clusters=5000, seed=3, hazards=(EXP1, EXP1)))
         with pytest.raises(fs.EmptyWindow):
-            empirical_crf(s, (EXP1, EXP1), (0.5, 0.5), 0, 1, window=1e-12)
+            empirical_crf(s, (0.5, 0.5), 0, 1, window=1e-12)
 
     def test_bad_target_indices(self):
         s = simulate(_cfg(n_clusters=100, hazards=(EXP1, EXP1)))
         with pytest.raises((fs.ParameterOutOfRange, fs.LengthMismatch, IndexError)):
-            empirical_crf(s, (EXP1, EXP1), (0.5, 0.5), 0, 5, window=0.05)
+            empirical_crf(s, (0.5, 0.5), 0, 5, window=0.05)
 
 
 class TestSerialization:
