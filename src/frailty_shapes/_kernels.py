@@ -19,8 +19,8 @@ def survivor_moment_grid(z, g, lam):
 
     Parameters
     ----------
-    z, g : 1-d arrays
-        Support (ascending) and unconditional probabilities.
+    z, g : arrays
+        Support (ascending) and probabilities, or one row of weights per lam.
     lam : 1-d array
         Generic-time points.
 
@@ -31,11 +31,11 @@ def survivor_moment_grid(z, g, lam):
         conditional probability of the smallest support point.
     """
     dz = z - z[0]
-    w = g[None, :] * np.exp(-np.outer(lam, dz))
+    w = g * np.exp(-np.outer(lam, dz))
     norm = w.sum(axis=1)
     m1 = w @ dz / norm
     m2 = w @ (dz * dz) / norm
-    first = g[0] / norm
+    first = g[..., 0] / norm
     return norm, m1, m2, first
 
 

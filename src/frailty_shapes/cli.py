@@ -201,8 +201,8 @@ def _cmd_piecewise(args) -> int:
         raise ParameterOutOfRange(
             f"piecewise grid must start at or after the final cutpoint {floor}"
         )
-    j = len(model.hazards)
-    rfv = np.array([piecewise_rfv(model, [float(t)] * j) for t in grid])
+    # one row per grid time, the same time for every target
+    rfv = piecewise_rfv(model, np.repeat(grid[:, None], len(model.hazards), axis=1))
     out = _out_path(cfg, args)
     write_csv(out, ("t", "rfv", "crf"), (grid, rfv, rfv + 1.0))
     write_json(sidecar_path(out), {

@@ -24,11 +24,13 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DegenerateConditional,
     DegenerateDistribution,
     DivisionNearZero,
     LengthMismatch,
+    NumericalOverflow,
     ParameterOutOfRange,
     TimeBeforeFinalSegment,
     UnsupportedFamily,
@@ -37,14 +39,15 @@ from .families import (
     FrailtyFamily,
     GammaFrailty,
     PROB_SUM_TOL,
+    _bad_points,
     check_grid,
     laplace,
     moments,
     support_table,
     validate,
 )
-from .oracle import SurvivorPmf, survivor_pmf
-from .shapes import crf_at
+from .oracle import SurvivorPmf, rfv as oracle_rfv, survivor_pmf
+from .shapes import classify_tail, crf_at
 from .simulate import _check_time_vector, _philox
 
 _STREAM_CORRELATED = 3
@@ -96,10 +99,8 @@ class CorrelatedPoissonModel:
         return float(l0)
 
     def crf_of_d(self, d):
-        """Cross-ratio between any two targets as a function of d."""
-        arr = np.atleast_1d(check_grid(d))
-        out = np.asarray([crf_at(self.w_dist, float(x)) for x in arr])
-        return float(out[0]) if np.isscalar(d) or np.ndim(d) == 0 else out
+        """Cross-ratio between any two targets: the mixer's CRF at d."""
+        return crf_at(self.w_dist, d)
 
     def correlated_crf(self, t) -> float:
         return float(self.crf_of_d(self.d_of_t(t)))
@@ -226,80 +227,81 @@ class PiecewiseFrailtyModel:
             )
 
     def segment_loads(self, t) -> np.ndarray:
-        """Generic time accrued inside each calendar segment up to ``t``.
-
-        Entry q sums, over targets, the cumulative hazard gathered between
-        the segment boundaries (clipped at each target's own time).
-        """
-        t = _check_time_vector(self.hazards, t)
+        """Generic time accrued inside each calendar segment up to ``t``, one time
+        per target: a vector ``(J,)`` gives the ``(Q,)`` loads, a matrix ``(n, J)``
+        one row of loads per row.  Entry q sums, over targets, the cumulative
+        hazard gathered inside segment q (clipped at each target's own time)."""
+        # the check counts one time per hazard along the first axis
+        t = _check_time_vector(self.hazards, np.asarray(t, dtype=np.float64).T).T
         final_start = self.cutpoints[-1] if self.cutpoints else 0.0
         if float(t.min()) < final_start:
             raise TimeBeforeFinalSegment(
-                f"all times must reach the final segment start "
-                f"{final_start}, got {t.tolist()}"
+                f"all times must reach the final segment start {final_start}, "
+                f"got a time of {float(t.min())}"
             )
-        edges = np.asarray((0.0,) + self.cutpoints)
-        loads = np.zeros(len(self.segment_families))
-        for hazard, tj in zip(self.hazards, t):
-            clipped = np.minimum(edges, tj)
-            cums = np.asarray([float(hazard.cumulative(c)) for c in clipped])
-            full = float(hazard.cumulative(float(tj)))
-            loads += np.diff(np.concatenate((cums, [full])))
+        edges = np.asarray((0.0,) + self.cutpoints + (np.inf,))
+        loads = 0.0
+        for hazard, tj in zip(self.hazards, t.T):
+            stops = np.minimum(edges, np.asarray(tj)[..., None])
+            loads = loads + np.diff(hazard.cumulative(stops), axis=-1)
         return loads
+
+
+def _named_coupling_load(model: PiecewiseFrailtyModel, loads: np.ndarray):
+    """The final frailty's load: its own segment's if independent (the earlier
+    survival factors cancel in the conditional), else every segment's."""
+    return loads[..., -1] if model.joint_coupling == "independent" else loads.sum(axis=-1)
+
+
+def _coupled_weights(model: PiecewiseFrailtyModel, loads: np.ndarray):
+    """The final segment's support table and, one row per row of ``loads``, the
+    weights P(Z_Q = z_k) * P(survive the earlier segments | Z_Q = z_k)."""
+    tables = [support_table(f) for f in model.segment_families]
+    rows = np.atleast_2d(loads)
+    carry = model.joint_coupling.conditional[None]  # einsum broadcasts it over rows
+    for q, table in enumerate(tables[:-1]):
+        # sum segment q's axis against its survival factor exp(-z load_q)
+        survive = np.exp(-np.multiply.outer(rows[:, q], table.z))
+        carry = np.einsum("nk,nk...->n...", survive, carry)
+    return tables[-1], carry * tables[-1].pmf
 
 
 def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
     """Conditional pmf of the final-segment frailty among survivors at ``t``."""
     loads = model.segment_loads(t)
-    coupling = model.joint_coupling
-    final_family = model.segment_families[-1]
-    if isinstance(coupling, str) and coupling == "independent":
-        # Earlier segments contribute a z-independent survival factor that
-        # cancels in the conditional distribution, leaving the final-segment
-        # frailty reweighted by its own exposure alone.
-        return survivor_pmf(final_family, float(loads[-1]))
-    if isinstance(coupling, str):  # identical
-        return survivor_pmf(final_family, float(loads.sum()))
-    q = len(model.segment_families)
-    tables = [support_table(f) for f in model.segment_families]
-    weight = np.ones_like(coupling.conditional)
-    for axis in range(q - 1):
-        z = tables[axis].z
-        shape = [1] * q
-        shape[axis] = z.shape[0]
-        weight = weight * np.exp(-z * loads[axis]).reshape(shape)
-    carryover = (coupling.conditional * weight).sum(axis=tuple(range(q - 1)))
-    z_final = tables[-1].z
-    favored = np.exp(-(z_final - z_final[0]) * loads[-1])
-    unnorm = favored * carryover * tables[-1].pmf
+    if isinstance(model.joint_coupling, str):
+        load = float(_named_coupling_load(model, loads))
+        return survivor_pmf(model.segment_families[-1], load)
+    table, prior = _coupled_weights(model, loads)
+    unnorm = prior[0] * np.exp(-(table.z - table.z[0]) * loads[-1])
     total = float(unnorm.sum())
     if total <= 0.0:
         raise DegenerateConditional(
-            "survivors have probability zero under the coupling table"
-        )
+            "survivors have probability zero under the coupling table")
     probs = unnorm / total
     keep = probs > 0.0
-    return SurvivorPmf(lam=float(loads.sum()), support=z_final[keep],
-                       probs=probs[keep], tail_mass_bound=tables[-1].tail_mass)
+    return SurvivorPmf(lam=float(loads.sum()), support=table.z[keep],
+                       probs=probs[keep], tail_mass_bound=table.tail_mass)
 
 
-def piecewise_rfv(model: PiecewiseFrailtyModel, t) -> float:
-    """Relative frailty variance of the currently acting frailty at ``t``."""
-    pmf = piecewise_survivor_pmf(model, t)
-    mean = float(pmf.probs @ pmf.support)
-    if mean <= 0.0:
-        raise DegenerateConditional(f"surviving frailty mean is zero at t={t}")
-    y = pmf.support - pmf.support[0]
-    m1 = float(pmf.probs @ y)
-    m2 = float(pmf.probs @ (y * y))
-    var = m2 - m1 * m1
-    return var / mean**2
+def piecewise_rfv(model: PiecewiseFrailtyModel, t):
+    """Relative frailty variance of the currently acting frailty at ``t``: a
+    time vector ``(J,)`` gives a scalar, a matrix ``(n, J)`` one value per row."""
+    loads = model.segment_loads(t)
+    if isinstance(model.joint_coupling, str):
+        return oracle_rfv(model.segment_families[-1], _named_coupling_load(model, loads))
+    table, prior = _coupled_weights(model, loads)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(loads[..., -1]))
+    mean = table.z[0] + m1
+    if not np.all(mean > 0.0):  # nan where no survivor weight is left
+        raise DegenerateConditional("survivors carry no frailty under the coupling table")
+    out = (m2 - m1**2) / mean**2
+    return float(out[0]) if loads.ndim == 1 else out
 
 
 def piecewise_tail(model: PiecewiseFrailtyModel):
     """Long-run tail class, determined by the final segment family alone."""
-    from .shapes import classify_tail
-
     return classify_tail(model.segment_families[-1])
 
 
@@ -318,8 +320,8 @@ class ExpHalf:
         if not self.eta > 0.0 or not math.isfinite(self.eta):
             raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
 
-    def value(self, lam: float) -> float:
-        return self.eta * math.exp(-lam / 2.0)
+    def value(self, lam):
+        return self.eta * np.exp(-lam / 2.0)
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,8 @@ class ExpHalfSine:
         if not self.eta > 0.0 or not math.isfinite(self.eta):
             raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
 
-    def value(self, lam: float) -> float:
-        return self.eta * math.exp(-lam / 2.0) * (2.0 + math.sin(lam))
+    def value(self, lam):
+        return self.eta * np.exp(-lam / 2.0) * (2.0 + np.sin(lam))
 
 
 @dataclass(frozen=True)
@@ -348,8 +350,8 @@ class ExpFull:
         if not self.eta > 0.0 or not math.isfinite(self.eta):
             raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
 
-    def value(self, lam: float) -> float:
-        return self.eta * math.exp(-lam)
+    def value(self, lam):
+        return self.eta * np.exp(-lam)
 
 
 @dataclass(frozen=True)
@@ -362,8 +364,8 @@ class ConstantFloor:
         if not self.p0 > 0.0 or not math.isfinite(self.p0):
             raise ParameterOutOfRange(f"p0 must be positive, got {self.p0}")
 
-    def value(self, lam: float) -> float:
-        return self.p0
+    def value(self, lam):
+        return np.full(np.shape(lam), self.p0)[()]
 
 
 ShiftPath = Union[ExpHalf, ExpHalfSine, ExpFull, ConstantFloor]
@@ -393,28 +395,27 @@ class TimeVaryingShift:
             )
 
 
-def timevarying_shift_rfv(model: TimeVaryingShift, lam) -> float:
-    """Relative frailty variance of Z_* + p(Lambda) among survivors.
+def timevarying_shift_rfv(model: TimeVaryingShift, lam):
+    """Relative frailty variance of Z_* + p(Lambda) among survivors, at each ``lam``.
 
     The shift contributes hazard but no variance, so the inner relative
     variance is damped by the squared mean ratio L' / (L' - p L), with L the
     inner survivor transform at Lambda.
     """
-    arr = np.atleast_1d(check_grid(lam))
-    out = np.empty(arr.shape[0])
-    for i, x in enumerate(arr):
-        x = float(x)
-        l0, l1, l2 = laplace(model.inner, x)
-        p = model.shift_fn.value(x)
-        denom = l1 - p * l0
-        if abs(denom) < 1e-300:
-            raise DivisionNearZero(
-                f"shifted mean vanishes at lambda={x}; shift {p} cancels the "
-                f"inner mean exactly"
-            )
-        inner_rfv = (l2 / l1) * (l0 / l1) - 1.0
-        out[i] = inner_rfv * (l1 / denom) ** 2
-    return float(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
+    arr = check_grid(lam)
+    l0, l1, l2 = (np.asarray(v) for v in laplace(model.inner, arr))
+    denom = l1 - model.shift_fn.value(arr) * l0
+    vanished = np.abs(denom) < 1e-300
+    if vanished.any():
+        raise DivisionNearZero(
+            f"shifted mean vanishes at {_bad_points(arr, vanished, 'lambda')}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = ((l2 / l1) * (l0 / l1) - 1.0) * (l1 / denom) ** 2
+    overflow = ~np.isfinite(out)
+    if overflow.any():
+        raise NumericalOverflow(f"RFV of {model} overflowed at "
+                                f"{_bad_points(arr, overflow, 'lambda')}")
+    return out[()]
 
 
 def shift_to_dict(path: ShiftPath) -> dict:
@@ -426,9 +427,15 @@ def shift_to_dict(path: ShiftPath) -> dict:
 
 def shift_from_dict(d: dict) -> ShiftPath:
     """Inverse of :func:`shift_to_dict`; keys naming no field are ignored."""
+    if not isinstance(d, dict):
+        raise ParameterOutOfRange(f"malformed shift spec: {d!r}")
     tag = d.get("shift")
     by_tag = {t: cls for cls, t in _SHIFT_TAGS.items()}
     if tag not in by_tag:
         raise UnsupportedFamily(f"unknown shift tag {tag!r}")
     cls = by_tag[tag]
-    return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+    try:
+        kwargs = {f.name: float(d[f.name]) for f in fields(cls)}
+    except KeyError as exc:
+        raise ParameterOutOfRange(f"shift {tag!r} is missing parameter {exc}") from exc
+    return cls(**kwargs)

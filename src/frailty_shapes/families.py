@@ -554,6 +554,25 @@ def check_grid(lam) -> np.ndarray:
     return arr
 
 
+def _bad_points(arr: np.ndarray, bad: np.ndarray, name: str) -> str:
+    """'k of n points, first name=x' for the flagged entries of the grid ``arr``."""
+    return f"{np.sum(bad)} of {arr.size} points, first {name}={float(arr[bad].flat[0])!r}"
+
+
+def _laplace_ratio(family: FrailtyFamily, arr: np.ndarray):
+    """``(triple, outside, ratio)`` at the checked grid ``arr``, without raising:
+    ``outside`` flags the triple outside the range :func:`laplace` admits,
+    and ``ratio``, the RFV (L''/L')(L/L') - 1 (no squared transform to under-
+    or overflow), is finite exactly where the RFV is representable."""
+    l0, l1, l2 = (np.asarray(v) for v in _laplace_arrays(family, arr))
+    outside = (~np.isfinite(l0) | ~np.isfinite(l1) | ~np.isfinite(l2)
+               | (l0 <= 0.0) | (l0 > 1.0 + 1e-12) | (l1 > 0.0) | (l2 < 0.0))
+    l0 = np.minimum(l0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(outside, np.nan, (l2 / l1) * (l0 / l1) - 1.0)
+    return LaplaceTriple(l0, l1, l2), outside, ratio
+
+
 def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     """Laplace transform triple (L, L', L'') at ``s`` (scalar or array, s >= 0).
 
@@ -564,19 +583,15 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     returned as 1.
     """
     arr = check_grid(s)
-    triple = _laplace_arrays(family, arr)
-    l0, l1, l2 = (np.asarray(v) for v in triple)
-    bad = (~np.isfinite(l0) | ~np.isfinite(l1) | ~np.isfinite(l2)
-           | (l0 <= 0.0) | (l0 > 1.0 + 1e-12) | (l1 > 0.0) | (l2 < 0.0))
-    if bad.any():
-        where = arr[bad] if arr.shape else arr
+    triple, outside, _ = _laplace_ratio(family, arr)
+    if outside.any():
         raise NumericalOverflow(
-            f"Laplace transform of {family} left its admissible range at s={where}"
+            f"Laplace transform of {family} left its admissible range at "
+            f"{_bad_points(arr, outside, 's')}"
         )
-    l0 = np.minimum(l0, 1.0)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return LaplaceTriple(float(l0), float(l1), float(l2))
-    return LaplaceTriple(l0, l1, l2)
+    if np.ndim(s) == 0:
+        return LaplaceTriple(*(float(v) for v in triple))
+    return triple
 
 
 # ---------------------------------------------------------------------------

@@ -101,19 +101,15 @@ class PiecewiseConstant:
 
     def cumulative(self, t):
         edges, cums, rates = self._tables()
-        t = _as_float_array(t)
-        out = _kernels.piecewise_cumulative(edges, cums, rates, np.atleast_1d(t))
-        return out.reshape(t.shape) if t.shape else float(out[0])
+        return _kernels.piecewise_cumulative(edges, cums, rates, _as_float_array(t))
 
     def inverse_cumulative(self, u):
         edges, cums, rates = self._tables()
         u = _as_float_array(u)
         finite = np.isfinite(u)
-        out = np.full(u.shape if u.shape else (1,), np.inf)
-        vals = _kernels.piecewise_inverse(edges, cums, rates,
-                                          np.atleast_1d(u)[np.atleast_1d(finite)])
-        out[np.atleast_1d(finite)] = vals
-        return out.reshape(u.shape) if u.shape else float(out[0])
+        out = np.full(u.shape, np.inf)
+        out[finite] = _kernels.piecewise_inverse(edges, cums, rates, u[finite])
+        return out[()]
 
 
 BaselineHazard = Union[ExponentialRate, Weibull, PiecewiseConstant]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateConditional, NumericalOverflow, ParameterOutOfRange
-from .families import FrailtyFamily, TAIL_MASS, check_grid, support_table
+from .families import FrailtyFamily, TAIL_MASS, _bad_points, check_grid, support_table
 
 #: The post-conditioning tail bound enforced on every survivor distribution.
 TAIL_BOUND = 1e-12
@@ -48,10 +48,10 @@ def _survivor_sums(family: FrailtyFamily, lams: np.ndarray):
         table = support_table(family, TAIL_MASS * 10.0 ** (-4 * attempt))
         z = table.z
         total, m1, m2, first = _kernels.survivor_moment_grid(z, table.pmf, lams)
-        if not np.all((total > 0.0) & np.isfinite(total)):
-            raise NumericalOverflow(
-                f"survivor weights of {family} degenerate at lam={lams}"
-            )
+        degenerate = ~((total > 0.0) & np.isfinite(total))
+        if degenerate.any():
+            raise NumericalOverflow(f"survivor weights of {family} degenerate at "
+                                    f"{_bad_points(lams, degenerate, 'lam')}")
         # Mass beyond the truncation point, after conditioning, is at most
         # exp(-(z_K - z_1) lam) * tail / total -- conditioning only downweights
         # support points beyond z_K relative to the retained ones.
@@ -92,7 +92,8 @@ def rfv(family: FrailtyFamily, lam):
     table, m1, m2, _, _ = _survivor_sums(family, np.atleast_1d(arr))
     mean = table.z[0] + m1
     if np.any(mean <= 0.0):
-        raise DegenerateConditional(f"survivor mean of {family} vanished at lam={lam}")
+        raise DegenerateConditional(f"survivor mean of {family} vanished at "
+                                    f"{_bad_points(np.atleast_1d(arr), mean <= 0.0, 'lam')}")
     out = (m2 - m1**2) / mean**2
     return float(out[0]) if arr.ndim == 0 else out
 

@@ -41,9 +41,10 @@ from .families import (
     Poisson,
     Shifted,
     ZeroModifiedPoisson,
+    _bad_points,
+    _laplace_ratio,
     check_grid,
     family_to_dict,
-    laplace,
     min_support,
 )
 
@@ -89,21 +90,14 @@ class ShapeCurve:
 
 def rfv_at(family: FrailtyFamily, lam):
     """RFV via the Laplace transform ratio; scalar in, scalar out (or array).
-
-    The ratio is evaluated as (L''/L') * (L/L') - 1 so that the squared
-    transform never under- or overflows on the way to a moderate result.
-    """
-    triple = laplace(family, lam)
-    l0 = np.asarray(triple.l0, dtype=np.float64)
-    l1 = np.asarray(triple.l1, dtype=np.float64)
-    l2 = np.asarray(triple.l2, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # float64 division so an underflowed L' yields inf/nan rather than
-        # a Python ZeroDivisionError on the scalar path
-        out = (l2 / l1) * (l0 / l1) - 1.0
-    if not np.all(np.isfinite(out)):
-        raise NumericalOverflow(f"RFV of {family} overflowed at lam={lam}")
-    return out[()]
+    Raises :class:`NumericalOverflow` unless it is finite at every point."""
+    arr = check_grid(lam)
+    ratio = _laplace_ratio(family, arr)[2]
+    overflow = ~np.isfinite(ratio)
+    if overflow.any():
+        raise NumericalOverflow(
+            f"RFV of {family} overflowed at {_bad_points(arr, overflow, 'lam')}")
+    return ratio[()]
 
 
 def crf_at(family: FrailtyFamily, lam):
@@ -124,18 +118,16 @@ def zmp_derivative_terms(family: ZeroModifiedPoisson, lam):
     em = math.exp(-family.eta)
     offset = (family.phi - 1.0) / (1.0 - family.phi * em)
     u = family.eta * np.exp(-np.asarray(lam, dtype=np.float64))
-    ratio = np.exp(u) / (1.0 + u + u * u)
-    if np.ndim(lam) == 0:
-        ratio = float(ratio)
-    return offset, ratio
+    return offset, np.exp(u) / (1.0 + u + u * u)
 
 
 def rfv_closed_at(family: FrailtyFamily, lam):
     """Per-family closed form of the RFV, independent of :func:`laplace`."""
     arr = check_grid(lam)
     out = _rfv_closed(family, arr)
-    if np.any(~np.isfinite(out)):
-        raise NumericalOverflow(f"closed-form RFV of {family} overflowed at lam={lam}")
+    if not np.all(np.isfinite(out)):
+        raise NumericalOverflow(f"closed-form RFV of {family} overflowed at "
+                                f"{_bad_points(arr, ~np.isfinite(out), 'lam')}")
     return float(out) if np.ndim(lam) == 0 else out
 
 
@@ -295,14 +287,13 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         root = _bisect_root(family, grid[i], grid[i + 1], d[i], d[i + 1])
         points.append(_classify_root(family, root))
     # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
+    a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
     scale = 1.0 + np.abs(np.asarray(rfv_at(family, grid)))
-    for i in range(1, SCAN_INTERVALS):
-        if i in sign_change or i - 1 in sign_change:
-            continue
-        if not (abs(d[i]) < abs(d[i - 1]) and abs(d[i]) <= abs(d[i + 1])):
-            continue
-        if d[i - 1] * d[i + 1] <= 0.0 or abs(d[i]) > 1e-6 * scale[i]:
-            continue
+    with np.errstate(over="ignore"):
+        dips = ((a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
+                & (a[i] <= 1e-6 * scale[i]) & ~np.isin(i, sign_change)
+                & ~np.isin(i - 1, sign_change))
+    for i in i[dips]:
         g_lo = _second_derivative(family, grid[i - 1])
         g_hi = _second_derivative(family, grid[i + 1])
         if g_lo * g_hi >= 0.0:
@@ -344,25 +335,15 @@ def curve(family: FrailtyFamily, grid) -> ShapeCurve:
     arr = check_grid(grid)
     if not np.all(np.diff(arr) > 0.0):
         raise ParameterOutOfRange("curve grid must be strictly increasing")
-    rfv = np.empty(arr.shape)
-    overflow = np.zeros(arr.shape, dtype=bool)
-    try:
-        rfv[:] = np.asarray(rfv_at(family, arr))
-    except NumericalOverflow:
-        for i, lam in enumerate(arr):
-            try:
-                rfv[i] = rfv_at(family, float(lam))
-            except NumericalOverflow:
-                rfv[i] = np.inf
-                overflow[i] = True
-    # scan for stationary points only over the part of the grid where the
-    # RFV is still representable
-    finite = ~overflow
+    ratio = _laplace_ratio(family, arr)[2]
+    finite = np.isfinite(ratio)
+    rfv = np.where(finite, ratio, np.inf)
+    # scan for stationary points only where the RFV is still representable
     scan_top = float(arr[finite][-1]) if finite.any() else 0.0
     points = stationary_points(family, scan_top) if scan_top > 0.0 else ()
     return ShapeCurve(family=family, grid=arr, rfv=rfv, crf=rfv + 1.0,
                       stationary_points=points, tail=classify_tail(family),
-                      overflow=overflow)
+                      overflow=~finite)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import importlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frailty_shapes import cli
+from frailty_shapes.extensions import piecewise_rfv
 from frailty_shapes.verify import Check, CriterionResult
 
 POISSON_CFG = {"family": {"family": "poisson", "params": {"eta": 2.0}}}
@@ -245,6 +248,37 @@ class TestPiecewiseCommand:
         assert rc == 2
         assert json.loads(err)["error"] == "ParameterOutOfRange"
 
+    def test_coupling_table_rows_match_the_model(self, tmp_path, capsys):
+        out = tmp_path / "pw.csv"
+        config = {
+            "model": {
+                "cutpoints": [0.5],
+                "segment_families": [
+                    {"family": "kpoint", "params": {"support": [0.0, 1.0, 2.0],
+                                                    "probs": [0.25, 0.5, 0.25]}},
+                    {"family": "kpoint", "params": {"support": [0.5, 1.5],
+                                                    "probs": [0.4, 0.6]}},
+                ],
+                "joint_coupling": {"conditional": [[0.1, 0.5], [0.6, 0.2],
+                                                   [0.3, 0.3]]},
+                "hazards": [EXP_HAZARD, EXP_HAZARD],
+            },
+            "grid": {"start": 0.5, "stop": 6.0, "points": 12},
+            "out": str(out),
+        }
+        rc, _, err = run_main(["piecewise", "--config",
+                               write_cfg(tmp_path, "pw_cfg.json", config)], capsys)
+        assert rc == 0, err
+        model = cli._piecewise_from(config)
+        rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+        assert rows.shape == (12, 3)
+        for t, rfv, crf in rows:
+            want = piecewise_rfv(model, (t, t))
+            assert abs(rfv - want) <= 2e-15 * (1.0 + abs(want))
+            assert crf == rfv + 1.0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["coupling"] == config["model"]["joint_coupling"]
+
 
 class TestTimevaryingCommand:
     def test_csv_schema(self, tmp_path, capsys):
@@ -261,6 +295,22 @@ class TestTimevaryingCommand:
         assert lines[0] == "lambda,rfv,crf"
         row0 = lines[1].split(",")
         assert float(row0[1]) == pytest.approx(1.0 / 16.0)
+
+    @pytest.mark.parametrize("shift,message", [
+        ("exp_half", "malformed shift spec: 'exp_half'"),
+        ({"shift": "exp_half"}, "shift 'exp_half' is missing parameter 'eta'"),
+    ], ids=["not_an_object", "missing_eta"])
+    def test_bad_shift_exits_two(self, tmp_path, capsys, shift, message):
+        out = tmp_path / "tv.csv"
+        cfg = write_cfg(tmp_path, "tv_cfg.json", {
+            "inner": {"family": "poisson", "params": {"eta": 4.0}},
+            "shift": shift,
+            "out": str(out),
+        })
+        rc, _, err = run_main(["timevarying", "--config", cfg], capsys)
+        assert rc == 2
+        assert json.loads(err) == {"error": "ParameterOutOfRange", "message": message}
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -364,3 +414,21 @@ def test_module_entry_point_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "b.csv").read_bytes() == first
     assert first == (tmp_path / "a.csv").read_bytes()  # untouched by second run
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """Every name the benchmark's tracer wraps exists, so a rename fails here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced = importlib.import_module("traced_cli")
+    missing = []
+    for module, names in traced.FUNCTIONS.items():
+        found = importlib.import_module(f"frailty_shapes.{module}")
+        missing += [f"{module}.{n}" for n in names if not callable(getattr(found, n, None))]
+    for module, cls_name, names in traced.METHODS:
+        cls = getattr(importlib.import_module(f"frailty_shapes.{module}"), cls_name, None)
+        missing += [f"{module}.{cls_name}.{n}" for n in names
+                    if not callable(getattr(cls, n, None))]
+    kernels = importlib.import_module("frailty_shapes._kernels")
+    missing += [f"_kernels.{n}" for n in traced.KERNELS
+                if not callable(getattr(kernels, n, None))]
+    assert missing == []

@@ -217,6 +217,18 @@ class TestCouplingTable:
         for t in (0.5, 1.2, 3.0):
             assert_allclose(piecewise_rfv(by_table, (t,)),
                             piecewise_rfv(by_name, (t,)), rtol=1e-12)
+        # three segments, each carrying the one draw: every load counts
+        diagonal = np.zeros((3, 3, 3))
+        diagonal[range(3), range(3), range(3)] = 1.0
+        by_table = PiecewiseFrailtyModel(
+            cutpoints=(0.5, 1.2), segment_families=(fam, fam, fam), hazards=hz,
+            joint_coupling=CouplingTable(conditional=diagonal))
+        by_name = PiecewiseFrailtyModel(
+            cutpoints=(0.5, 1.2), segment_families=(fam, fam, fam), hazards=hz,
+            joint_coupling="identical")
+        times = np.array([[1.2], [2.0], [4.0]])
+        assert_allclose(piecewise_rfv(by_table, times), piecewise_rfv(by_name, times),
+                        rtol=1e-12)
 
     def test_coupling_changes_the_answer(self):
         # anti-diagonal pairing couples a small early frailty to a large
@@ -321,10 +333,16 @@ class TestTimeVaryingShift:
         assert_allclose(timevarying_shift_rfv(moving, lam),
                         float(fs.rfv_at(frozen, lam)), rtol=1e-12)
 
-    def test_scalar_in_scalar_out(self):
-        model = TimeVaryingShift(inner=fs.Poisson(eta=2.0),
-                                 shift_fn=ExpHalf(eta=2.0))
-        assert np.ndim(timevarying_shift_rfv(model, 1.0)) == 0
+    def test_vanishing_mean_and_overflow_name_the_first_point(self):
+        full = TimeVaryingShift(inner=fs.Poisson(eta=4.0), shift_fn=ExpFull(eta=4.0))
+        with pytest.raises(fs.DivisionNearZero,
+                           match=r"vanishes at 2 of 4 points, first lambda=800\.0$"):
+            timevarying_shift_rfv(full, [0.0, 10.0, 800.0, 900.0])
+        floor = TimeVaryingShift(inner=fs.Poisson(eta=4.0),
+                                 shift_fn=ConstantFloor(p0=0.5))
+        with pytest.raises(fs.NumericalOverflow,
+                           match=r"at 1 of 2 points, first lambda=800\.0$"):
+            timevarying_shift_rfv(floor, [1.0, 800.0])
 
     def test_shift_dict_round_trip(self):
         for fn in (ExpHalf(eta=4.0), ExpHalfSine(eta=4.0), ExpFull(eta=4.0),
@@ -335,9 +353,85 @@ class TestTimeVaryingShift:
             assert shift_from_dict(spec) == fn
             (field,) = set(spec) - {"shift", "period"}
             del spec[field]
-            with pytest.raises(KeyError, match=f"^'{field}'$"):
+            with pytest.raises(fs.ParameterOutOfRange,
+                               match=f"^shift '{spec['shift']}' is missing "
+                                     f"parameter '{field}'$"):
                 shift_from_dict(spec)
+        with pytest.raises(fs.ParameterOutOfRange,
+                           match="^malformed shift spec: 'exp_half'$"):
+            shift_from_dict("exp_half")
 
     def test_unknown_shift_tag(self):
         with pytest.raises(fs.UnsupportedFamily, match="^unknown shift tag 'linear'$"):
             shift_from_dict({"shift": "linear", "slope": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# grid and scalar forms of the extension evaluators
+# ---------------------------------------------------------------------------
+
+
+def _mixed(w_dist):
+    return CorrelatedPoissonModel(etas=(1.0, 2.0), w_dist=w_dist, hazards=(EXP1, EXP1))
+
+
+def _piecewise(coupling):
+    first = fs.KPoint(support=(0.0, 1.0, 2.0), probs=(0.25, 0.5, 0.25))
+    final = fs.KPoint(support=(0.5, 1.5), probs=(0.4, 0.6))
+    if coupling == "identical":
+        first = final
+    elif coupling == "table":
+        coupling = CouplingTable(conditional=np.array([[0.1, 0.5], [0.6, 0.2],
+                                                       [0.3, 0.3]]))
+    return PiecewiseFrailtyModel(cutpoints=(0.5,), segment_families=(first, final),
+                                 hazards=(fs.PiecewiseConstant(breakpoints=(1.0,),
+                                                               rates=(0.5, 1.5)),
+                                          fs.Weibull(shape=1.5, scale=1.0)),
+                                 joint_coupling=coupling)
+
+
+_D_GRID = np.linspace(0.0, 3.0, 41)
+_LAMBDA_GRID = np.linspace(0.0, 30.0, 61)
+#: (n, J) times past the cutpoint, targets apart
+_TIMES = np.column_stack((np.linspace(0.5, 6.0, 23), np.linspace(0.7, 3.0, 23)))
+
+#: name -> (grid or matrix of times, evaluator of one model)
+GRID_EVALUATORS = {
+    "crf_of_d-kpoint": (_D_GRID, _mixed(fs.KPoint(support=(0.5, 1.5),
+                                                  probs=(0.5, 0.5))).crf_of_d),
+    "crf_of_d-gamma": (_D_GRID, _mixed(fs.GammaFrailty(mean=1.0, variance=0.5)).crf_of_d),
+    "crf_of_d-addams": (_D_GRID, _mixed(fs.Addams(alpha=-0.3, gamma=0.5)).crf_of_d),
+    **{f"timevarying-{type(fn).__name__}": (
+        _LAMBDA_GRID,
+        lambda lam, fn=fn: timevarying_shift_rfv(
+            TimeVaryingShift(inner=fs.Poisson(eta=4.0), shift_fn=fn), lam))
+       for fn in (ExpHalf(eta=4.0), ExpHalfSine(eta=4.0), ExpFull(eta=4.0),
+                  ConstantFloor(p0=0.5))},
+    **{f"piecewise-{coupling}": (
+        _TIMES, lambda t, model=_piecewise(coupling): piecewise_rfv(model, t))
+       for coupling in ("independent", "identical", "table")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_EVALUATORS))
+def test_grid_matches_pointwise(name):
+    grid, evaluate = GRID_EVALUATORS[name]
+    got = evaluate(grid)
+    assert got.shape == (len(grid),)
+    want = np.array([evaluate(point) for point in grid])
+    assert np.all(np.abs(got - want) <= 2e-15 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(GRID_EVALUATORS))
+def test_scalar_in_scalar_out(name):
+    grid, evaluate = GRID_EVALUATORS[name]
+    assert np.ndim(evaluate(grid[1])) == 0
+
+
+def test_shift_paths_take_arrays():
+    lam = np.linspace(0.0, 5.0, 7)
+    for fn in (ExpHalf(eta=4.0), ExpHalfSine(eta=4.0), ExpFull(eta=4.0),
+               ConstantFloor(p0=0.5)):
+        values = fn.value(lam)
+        assert values.shape == lam.shape
+        assert_allclose(values, [fn.value(float(x)) for x in lam], rtol=1e-15)

@@ -261,6 +261,33 @@ class TestCurve:
         shape = curve(fs.Poisson(eta=2.0), [0.0, 1.0, 750.0])
         assert shape.overflow.tolist() == [False, False, True]
         assert np.isposinf(shape.rfv[-1])
+        # the flags are exactly the points where the scalar ratio raises
+        long_grid = np.linspace(0.0, 1500.0, 3001)
+        for fam, grid in ((fs.Poisson(eta=2.0), [0.0, 1.0, 750.0]),
+                          (KPOINT_EXAMPLES["set1"], long_grid),
+                          (KPOINT_EXAMPLES["set2"], long_grid)):
+            shape = curve(fam, grid)
+            raises = []
+            for lam in shape.grid:
+                try:
+                    rfv_at(fam, lam)
+                    raises.append(False)
+                except fs.NumericalOverflow:
+                    raises.append(True)
+            assert shape.overflow.tolist() == raises
+            assert np.all(np.isposinf(shape.rfv[shape.overflow]))
+
+    def test_overflow_messages_name_the_first_point(self):
+        grid = np.linspace(0.0, 1500.0, 3001)
+        with pytest.raises(fs.NumericalOverflow,
+                           match=r"overflowed at 1502 of 3001 points, first lam=749\.5$"):
+            rfv_at(KPOINT_EXAMPLES["set1"], grid)
+        with pytest.raises(fs.NumericalOverflow,
+                           match=r"admissible range at 1502 of 3001 points, first s=749\.5$"):
+            fs.laplace(KPOINT_EXAMPLES["set1"], grid)
+        with pytest.raises(fs.NumericalOverflow,
+                           match=r"overflowed at 1 of 1 points, first lam=750\.0$"):
+            rfv_at(fs.Poisson(eta=2.0), 750.0)
 
     def test_csv_round_trip(self, tmp_path):
         fam = fs.NegBin(pi=0.5, nu=2.0)
