@@ -39,25 +39,37 @@ def survivor_moment_grid(z, g, lam):
     return norm, m1, m2, first
 
 
-def kpoint_moment_sums(z, pr, lam):
-    """Sums M_q = sum_k z_k^q w_k, q = 0..3, one entry per point of ``lam``.
+def kpoint_rfv_grid(z, pr, lam):
+    """Relative frailty variance of a k-point family, (M2 / M1)(M0 / M1) - 1.
 
-    The weights w_k = p_k exp(-(z_k - z_1) lam) are recentred at the smallest
-    support point z_1 so they stay in range at any lam; the common factor
-    exp(-z_1 lam) cancels from every ratio of equal weight degree.
+    M_q = sum_k z_k^q w_k are single sums over the weights
+    w_k = p_k exp(-(z_k - z_1) lam), recentred at the smallest support point
+    z_1 so they stay in range at any lam (the common factor exp(-z_1 lam)
+    cancels).  This is the pair double sum
+    sum_ab z_a^2 w_a w_b / sum_ab z_a z_b w_a w_b, factorised; dividing before
+    multiplying keeps M1^2 from underflowing when 0 is in the support.
     """
     w = pr[None, :] * np.exp(-(z - z[0])[None, :] * lam[:, None])
-    return w.sum(axis=1), w @ z, w @ (z * z), w @ (z * z * z)
+    m1 = w @ z
+    return ((w @ (z * z)) / m1) * (w.sum(axis=1) / m1) - 1.0
 
 
-def kpoint_rfv_grid(z, pr, lam):
-    """Relative frailty variance of a k-point family, M2 M0 / M1^2 - 1.
+def kpoint_central_moments(z, pr, lam):
+    """Survivor weight, mean, variance and third central moment of a k-point
+    family, one entry per point of ``lam``.
 
-    This is the pair double sum sum_ab z_a^2 w_a w_b / sum_ab z_a z_b w_a w_b,
-    factorised into products of single sums.
+    The weight sum_k p_k exp(-(z_k - z_1) lam) and the mean are recentred at
+    the smallest support point z_1 (so L = weight * exp(-z_1 lam) and the
+    survivor mean is z_1 + mean); the variance and third moment are summed
+    about the mean in a second pass, so no two large terms cancel.
     """
-    m0, m1, m2, _ = kpoint_moment_sums(z, pr, lam)
-    return m2 * m0 / m1**2 - 1.0
+    dz = z - z[0]
+    w = pr[None, :] * np.exp(-dz[None, :] * lam[:, None])
+    norm = w.sum(axis=1)
+    w /= norm[:, None]
+    mean = w @ dz
+    c = dz[None, :] - mean[:, None]
+    return norm, mean, np.sum(w * c * c, axis=1), np.sum(w * c * c * c, axis=1)
 
 
 def piecewise_cumulative(edges, cums, rates, t):

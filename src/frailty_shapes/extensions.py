@@ -40,6 +40,7 @@ from .families import (
     GammaFrailty,
     PROB_SUM_TOL,
     _bad_points,
+    _survivor_triple,
     check_grid,
     laplace,
     moments,
@@ -398,19 +399,19 @@ class TimeVaryingShift:
 def timevarying_shift_rfv(model: TimeVaryingShift, lam):
     """Relative frailty variance of Z_* + p(Lambda) among survivors, at each ``lam``.
 
-    The shift contributes hazard but no variance, so the inner relative
-    variance is damped by the squared mean ratio L' / (L' - p L), with L the
-    inner survivor transform at Lambda.
+    The shift moves the survivors' mean by p(Lambda) and leaves their
+    variance alone, so the RFV is variance / (mean + p(Lambda))^2, with the
+    mean and variance of Z_* among survivors at Lambda.
     """
     arr = check_grid(lam)
-    l0, l1, l2 = (np.asarray(v) for v in laplace(model.inner, arr))
-    denom = l1 - model.shift_fn.value(arr) * l0
-    vanished = np.abs(denom) < 1e-300
+    _, mean, var = _survivor_triple(model.inner, arr)
+    shifted = mean + model.shift_fn.value(arr)
+    vanished = shifted < 1e-300
     if vanished.any():
         raise DivisionNearZero(
             f"shifted mean vanishes at {_bad_points(arr, vanished, 'lambda')}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = ((l2 / l1) * (l0 / l1) - 1.0) * (l1 / denom) ** 2
+    with np.errstate(over="ignore"):
+        out = (var / shifted) / shifted
     overflow = ~np.isfinite(out)
     if overflow.any():
         raise NumericalOverflow(f"RFV of {model} overflowed at "

@@ -27,7 +27,9 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy import stats
 from scipy.integrate import solve_ivp
+from scipy.special import gammainc
 
+from . import _kernels
 from .errors import (
     DegenerateDistribution,
     LengthMismatch,
@@ -457,89 +459,63 @@ def _addams_solution(alpha: float, gamma: float, s_max: float):
     return sol.sol
 
 
-def _laplace_addams(family: Addams, s: np.ndarray) -> LaplaceTriple:
-    alpha, gamma = family.alpha, family.gamma
-    if alpha == 0.0:
-        return _laplace_arrays(GammaFrailty(mean=1.0, variance=gamma), s)
-    dense = _addams_solution(alpha, gamma, float(np.max(s)))
-    vals = dense(np.atleast_1d(s))
-    l0 = vals[0].reshape(s.shape)
-    l1 = vals[1].reshape(s.shape)
-    # L'' follows from the defining relation, exactly consistent with (L, L').
-    l2 = (1.0 + gamma * np.exp(alpha * s)) * l1 * l1 / l0
-    return LaplaceTriple(l0, l1, l2)
+@np.errstate(all="ignore")
+def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
+    """``(log L, mean, variance)`` of the frailty among survivors at ``s``.
 
-
-def _laplace_arrays(family: FrailtyFamily, s: np.ndarray) -> LaplaceTriple:
-    if isinstance(family, NegBin):
-        q = 1.0 - family.pi
-        e = np.exp(-s)
-        ratio = q * e / (1.0 - q * e)
-        l0 = np.exp(family.nu * (math.log(family.pi) - np.log1p(-q * e)))
-        l1 = -family.nu * ratio * l0
-        l2 = (family.nu * ratio + family.nu * (family.nu + 1.0) * ratio**2) * l0
-        return LaplaceTriple(l0, l1, l2)
+    ``mean = -L'/L`` and ``variance = L''/L - (L'/L)^2`` are written per family
+    so that no term scales with ``L``: they stay in range wherever the survivor
+    moments do, however far ``L`` itself has underflowed.  Entries the moments
+    cannot represent come out inf or nan, without a warning.
+    """
     if isinstance(family, NegBinPositive):
-        q = 1.0 - family.pi
-        qe = q * np.exp(-s)
-        rho = 1.0 / (1.0 - qe)
-        l0 = np.exp(family.nu * (math.log(family.pi) - s - np.log1p(-qe)))
-        l1 = -family.nu * rho * l0
-        l2 = family.nu * rho**2 * (qe + family.nu) * l0
-        return LaplaceTriple(l0, l1, l2)
+        family = _as_shifted(family)
+    if isinstance(family, NegBin):
+        qe = (1.0 - family.pi) * np.exp(-s)
+        r = qe / (1.0 - qe)
+        return (family.nu * (math.log(family.pi) - np.log1p(-qe)),
+                family.nu * r, family.nu * r * (1.0 + r))
     if isinstance(family, Binomial):
-        a = 1.0 - family.pi
         pe = family.pi * np.exp(-s)
-        base = a + pe
-        l0 = base ** family.n
-        l1 = -family.n * pe * base ** (family.n - 1)
-        l2 = family.n * pe * base ** (family.n - 1) \
-            + family.n * (family.n - 1) * pe**2 * base ** (family.n - 2)
-        return LaplaceTriple(l0, l1, l2)
+        base = (1.0 - family.pi) + pe
+        t = pe / base  # success probability among survivors
+        return (family.n * np.log(base), family.n * t,
+                family.n * t * ((1.0 - family.pi) / base))
     if isinstance(family, Poisson):
         x = family.eta * np.exp(-s)
-        l0 = np.exp(x - family.eta)
-        return LaplaceTriple(l0, -x * l0, (x * x + x) * l0)
+        return family.eta * np.expm1(-s), x, x
     if isinstance(family, Shifted):
-        t0, t1, t2 = _laplace_arrays(family.inner, s)
-        p = family.p
-        damp = np.exp(-p * s)
-        return LaplaceTriple(
-            t0 * damp,
-            (t1 - p * t0) * damp,
-            (t2 - 2.0 * p * t1 + p * p * t0) * damp,
-        )
+        log_l, mean, var = _survivor_triple(family.inner, s)
+        return log_l - family.p * s, mean + family.p, var
     if isinstance(family, ZeroModifiedPoisson):
-        eta, phi = family.eta, family.phi
-        em = math.exp(-eta)
-        den = -math.expm1(-eta)  # 1 - exp(-eta)
-        amp = (1.0 - phi * em) / den
-        x = eta * np.exp(-s)
-        ex = np.exp(x)
-        # L = amp * L_Poisson + (phi - 1) exp(-eta) / den, rearranged so both
-        # contributions are nonnegative and no cancellation occurs at large s.
-        l0 = em / den * ((1.0 - phi * em) * np.expm1(x) + phi * den)
-        l1 = -amp * x * ex * em
-        l2 = amp * (x * x + x) * ex * em
-        return LaplaceTriple(l0, l1, l2)
+        # Survivors put weight phi on 0 and amp x^k / k! on k >= 1, relative
+        # to e^-eta.  Every sum is scaled by e^-x so none overflows, and
+        # 1 - (1 + x) e^-x is the incomplete gamma P(2, x), without cancellation.
+        amp = _zmp_scale(family)
+        x = family.eta * np.exp(-s)
+        ex = np.exp(-x)
+        den = family.phi * ex - amp * np.expm1(-x)
+        mean = amp * x / den
+        return (np.log(den) + x - family.eta, mean,
+                mean * ((family.phi * (1.0 + x) * ex + amp * gammainc(2.0, x)) / den))
     if isinstance(family, Addams):
-        return _laplace_addams(family, s)
+        if family.alpha == 0.0:
+            return _survivor_triple(GammaFrailty(mean=1.0, variance=family.gamma), s)
+        dense = _addams_solution(family.alpha, family.gamma, float(np.max(s)))
+        l0, l1 = (v.reshape(s.shape) for v in dense(np.atleast_1d(s)))
+        mean = -l1 / l0
+        # the defining relation: variance / mean^2 = gamma e^(alpha s)
+        return np.log(l0), mean, family.gamma * np.exp(family.alpha * s) * mean**2
     if isinstance(family, KPoint):
         z = np.asarray(family.support)
-        pr = np.asarray(family.probs)
-        w = pr[..., :] * np.exp(-np.multiply.outer(s, z))
-        l0 = w.sum(axis=-1)
-        l1 = -(w @ z)
-        l2 = w @ (z * z)
-        return LaplaceTriple(l0, l1, l2)
+        norm, mean, var, _ = _kernels.kpoint_central_moments(
+            z, np.asarray(family.probs), np.ravel(s))
+        return (np.log(norm).reshape(s.shape) - z[0] * s,
+                z[0] + mean.reshape(s.shape), var.reshape(s.shape))
     if isinstance(family, GammaFrailty):
         m, v = family.mean, family.variance
-        shape = m * m / v
         base = 1.0 + (v / m) * s
-        l0 = base ** (-shape)
-        l1 = -m * base ** (-shape - 1.0)
-        l2 = (m * m + v) * base ** (-shape - 2.0)
-        return LaplaceTriple(l0, l1, l2)
+        return -(m * m / v) * np.log(base), m / base, v / base**2
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
 
@@ -559,31 +535,21 @@ def _bad_points(arr: np.ndarray, bad: np.ndarray, name: str) -> str:
     return f"{np.sum(bad)} of {arr.size} points, first {name}={float(arr[bad].flat[0])!r}"
 
 
-def _laplace_ratio(family: FrailtyFamily, arr: np.ndarray):
-    """``(triple, outside, ratio)`` at the checked grid ``arr``, without raising:
-    ``outside`` flags the triple outside the range :func:`laplace` admits,
-    and ``ratio``, the RFV (L''/L')(L/L') - 1 (no squared transform to under-
-    or overflow), is finite exactly where the RFV is representable."""
-    l0, l1, l2 = (np.asarray(v) for v in _laplace_arrays(family, arr))
-    outside = (~np.isfinite(l0) | ~np.isfinite(l1) | ~np.isfinite(l2)
-               | (l0 <= 0.0) | (l0 > 1.0 + 1e-12) | (l1 > 0.0) | (l2 < 0.0))
-    l0 = np.minimum(l0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(outside, np.nan, (l2 / l1) * (l0 / l1) - 1.0)
-    return LaplaceTriple(l0, l1, l2), outside, ratio
-
-
 def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     """Laplace transform triple (L, L', L'') at ``s`` (scalar or array, s >= 0).
 
-    ``s`` must pass :func:`check_grid`.  Postconditions checked here: L in
-    (0, 1], L' <= 0, L'' >= 0, all finite.  Violations (underflow of L to
-    zero, overflow to inf/nan) raise :class:`NumericalOverflow` rather than
-    returning non-finite values.  An L rounded up past 1 by at most 1e-12 is
-    returned as 1.
+    ``s`` must pass :func:`check_grid`.  The triple is rebuilt from the
+    survivors' ``(log L, mean, variance)`` as ``(L, -mean L, (variance +
+    mean^2) L)`` with ``L = exp(min(log L, 0))``, so L lies in (0, 1], L' <= 0
+    and L'' >= 0.  Where L underflows to zero or L'' leaves float64 range it
+    raises :class:`NumericalOverflow` rather than returning non-finite values.
     """
     arr = check_grid(s)
-    triple, outside, _ = _laplace_ratio(family, arr)
+    log_l, mean, var = _survivor_triple(family, arr)
+    with np.errstate(all="ignore"):
+        l0 = np.exp(np.minimum(log_l, 0.0))
+        triple = LaplaceTriple(l0, -mean * l0, (var + mean * mean) * l0)
+    outside = ~(l0 > 0.0) | ~np.isfinite(triple.l2)
     if outside.any():
         raise NumericalOverflow(
             f"Laplace transform of {family} left its admissible range at "

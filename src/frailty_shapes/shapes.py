@@ -4,14 +4,16 @@ The relative frailty variance (RFV) at generic time ``lam`` is
 ``Var(Z | T > t) / E(Z | T > t)^2``; the cross-ratio function is
 ``CRF = 1 + RFV``.  Both are functions of the Laplace transform alone:
 
-    RFV(lam) = L''(lam) L(lam) / L'(lam)^2 - 1.
+    RFV(lam) = L''(lam) L(lam) / L'(lam)^2 - 1,
 
-This module evaluates that ratio (:func:`rfv_at`), the per-family closed
-forms (:func:`rfv_closed_at`), the derivative in ``lam``
-(:func:`rfv_derivative`), locates and classifies stationary points, and
-classifies the tail behaviour structurally from the smallest support point:
-mass at zero drives the RFV to infinity, a positive minimum drives it to
-zero, and constant-RFV families stay flat.
+the survivors' variance L''/L - (L'/L)^2 over their squared mean (L'/L)^2.
+This module evaluates that ratio from each family's survivor mean and
+variance (:func:`rfv_at`), the per-family closed forms
+(:func:`rfv_closed_at`), the derivative in ``lam`` (:func:`rfv_derivative`),
+locates and classifies stationary points, and classifies the tail behaviour
+structurally from the smallest support point: mass at zero drives the RFV to
+infinity, a positive minimum drives it to zero, and constant-RFV families
+stay flat.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .families import (
     Shifted,
     ZeroModifiedPoisson,
     _bad_points,
-    _laplace_ratio,
+    _survivor_triple,
     check_grid,
     family_to_dict,
     min_support,
@@ -88,16 +90,24 @@ class ShapeCurve:
     overflow: np.ndarray
 
 
+@np.errstate(all="ignore")
+def _triple_rfv(family: FrailtyFamily, arr: np.ndarray) -> np.ndarray:
+    """The RFV (variance / mean) / mean of the survivor triple at the checked
+    grid ``arr``; finite exactly where the RFV is representable."""
+    _, mean, var = _survivor_triple(family, arr)
+    return (var / mean) / mean
+
+
 def rfv_at(family: FrailtyFamily, lam):
-    """RFV via the Laplace transform ratio; scalar in, scalar out (or array).
-    Raises :class:`NumericalOverflow` unless it is finite at every point."""
+    """RFV via the Laplace route, the survivors' variance over their squared
+    mean; scalar in, scalar out (or array).  Raises :class:`NumericalOverflow` unless it is finite at every point."""
     arr = check_grid(lam)
-    ratio = _laplace_ratio(family, arr)[2]
-    overflow = ~np.isfinite(ratio)
+    rfv = _triple_rfv(family, arr)
+    overflow = ~np.isfinite(rfv)
     if overflow.any():
         raise NumericalOverflow(
             f"RFV of {family} overflowed at {_bad_points(arr, overflow, 'lam')}")
-    return ratio[()]
+    return rfv[()]
 
 
 def crf_at(family: FrailtyFamily, lam):
@@ -124,7 +134,8 @@ def zmp_derivative_terms(family: ZeroModifiedPoisson, lam):
 def rfv_closed_at(family: FrailtyFamily, lam):
     """Per-family closed form of the RFV, independent of :func:`laplace`."""
     arr = check_grid(lam)
-    out = _rfv_closed(family, arr)
+    with np.errstate(all="ignore"):
+        out = _rfv_closed(family, arr)
     if not np.all(np.isfinite(out)):
         raise NumericalOverflow(f"closed-form RFV of {family} overflowed at "
                                 f"{_bad_points(arr, ~np.isfinite(out), 'lam')}")
@@ -145,14 +156,14 @@ def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
         inner = family.inner
         if isinstance(inner, Poisson):
             c = inner.eta * np.exp(-lam) + p
-            return inner.eta * np.exp(-lam) / c**2
+            return inner.eta * np.exp(-lam) / c / c
         if isinstance(inner, NegBin):
             q = 1.0 - inner.pi
             c = inner.nu * q + p * (np.exp(lam) - q)
-            return np.exp(lam) * inner.nu * q / c**2
+            return np.exp(lam) * inner.nu * q / c / c
         q = 1.0 - inner.pi  # Binomial
         c = inner.pi * np.exp(-lam) * (p + inner.n) + p * q
-        return q * inner.pi * inner.n * np.exp(-lam) / c**2
+        return q * inner.pi * inner.n * np.exp(-lam) / c / c
     if isinstance(family, ZeroModifiedPoisson):
         eta, phi = family.eta, family.phi
         em = math.exp(-eta)
@@ -218,11 +229,14 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
     if isinstance(family, GammaFrailty):
         return np.zeros_like(lam)
     if isinstance(family, KPoint):
-        # d/dlam of M2 M0 / M1^2 with Mq the q-th conditional moment sum;
-        # every term is weight-degree 3, so the recentring factor cancels.
-        m0, m1, m2, m3 = _kernels.kpoint_moment_sums(
-            np.asarray(family.support), np.asarray(family.probs), np.atleast_1d(lam))
-        out = (2.0 * m2 * m2 * m0 - m3 * m0 * m1 - m2 * m1 * m1) / m1**3
+        # d/dlam of Var / mean^2 with dmean/dlam = -Var and dVar/dlam = -k3,
+        # from the survivors' central moments; the mean is z_1 plus its offset.
+        z = np.asarray(family.support)
+        _, offset, var, k3 = _kernels.kpoint_central_moments(
+            z, np.asarray(family.probs), np.atleast_1d(lam))
+        mean = z[0] + offset
+        with np.errstate(all="ignore"):
+            out = 2.0 * (var / mean) ** 2 / mean - (k3 / mean) / mean
         return out.reshape(lam.shape)
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
@@ -335,9 +349,9 @@ def curve(family: FrailtyFamily, grid) -> ShapeCurve:
     arr = check_grid(grid)
     if not np.all(np.diff(arr) > 0.0):
         raise ParameterOutOfRange("curve grid must be strictly increasing")
-    ratio = _laplace_ratio(family, arr)[2]
-    finite = np.isfinite(ratio)
-    rfv = np.where(finite, ratio, np.inf)
+    rfv = _triple_rfv(family, arr)
+    finite = np.isfinite(rfv)
+    rfv = np.where(finite, rfv, np.inf)
     # scan for stationary points only where the RFV is still representable
     scan_top = float(arr[finite][-1]) if finite.any() else 0.0
     points = stationary_points(family, scan_top) if scan_top > 0.0 else ()

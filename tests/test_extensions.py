@@ -338,11 +338,16 @@ class TestTimeVaryingShift:
         with pytest.raises(fs.DivisionNearZero,
                            match=r"vanishes at 2 of 4 points, first lambda=800\.0$"):
             timevarying_shift_rfv(full, [0.0, 10.0, 800.0, 900.0])
+        # the floor holds the shifted mean at 0.5 while the variance vanishes
         floor = TimeVaryingShift(inner=fs.Poisson(eta=4.0),
                                  shift_fn=ConstantFloor(p0=0.5))
+        assert timevarying_shift_rfv(floor, 800.0) == 0.0
+        # variance 1e100 over a shifted mean of 1e-200 leaves float64 range
+        wide = TimeVaryingShift(inner=fs.GammaFrailty(mean=1e-200, variance=1e100),
+                                shift_fn=ConstantFloor(p0=1e-250))
         with pytest.raises(fs.NumericalOverflow,
-                           match=r"at 1 of 2 points, first lambda=800\.0$"):
-            timevarying_shift_rfv(floor, [1.0, 800.0])
+                           match=r"at 2 of 3 points, first lambda=0\.0$"):
+            timevarying_shift_rfv(wide, [0.0, 1e-300, 1.0])
 
     def test_shift_dict_round_trip(self):
         for fn in (ExpHalf(eta=4.0), ExpHalfSine(eta=4.0), ExpFull(eta=4.0),

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
@@ -110,21 +112,35 @@ class TestKPointClosedForm:
 
     @pytest.mark.parametrize("name", sorted(KPOINT_EXAMPLES))
     def test_examples_match_high_precision(self, name):
-        mpmath.mp.dps = 50
         fam = KPOINT_EXAMPLES[name]
-        z = [mpmath.mpf(x) for x in fam.support]
-        p = [mpmath.mpf(x) for x in fam.probs]
         lam = np.linspace(0.0, 12.0, 97)
-        ref = []
-        for x in lam:
-            w = [pk * mpmath.exp(-zk * mpmath.mpf(x)) for zk, pk in zip(z, p)]
-            m0 = mpmath.fsum(w)
-            m1 = mpmath.fsum(zk * wk for zk, wk in zip(z, w))
-            m2 = mpmath.fsum(zk * zk * wk for zk, wk in zip(z, w))
-            ref.append(float(m2 * m0 / m1**2 - 1))
-        ref = np.array(ref)
+        ref = np.array([float(_mp_survivor_moments(fam, x)[3]) for x in lam])
         got = rfv_closed_at(fam, lam)
         assert np.all(np.abs(got - ref) <= 2e-15 * (1.0 + np.abs(ref)))
+
+    def test_set2_far_tail_matches_high_precision(self):
+        # 0 is in set2's support, so the first moment sum falls below 1e-154
+        # and its square underflows long before the RFV leaves float64 range
+        # (it is 3.887e174 at lam = 800)
+        fam = KPOINT_EXAMPLES["set2"]
+        lam = np.array([300.0, 700.0, 800.0, 1200.0, 1400.0])
+        ref = np.array([float(_mp_survivor_moments(fam, x)[3]) for x in lam])
+        got = rfv_closed_at(fam, lam)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def _mp_survivor_moments(fam, lam):
+    """Survivor mean, variance, third central moment and RFV of a k-point
+    family at 50 digits, each moment summed about the mean."""
+    mpmath.mp.dps = 50
+    z = [mpmath.mpf(v) for v in fam.support]
+    w = [mpmath.mpf(p) * mpmath.exp(-zk * mpmath.mpf(float(lam)))
+         for zk, p in zip(z, fam.probs)]
+    norm = mpmath.fsum(w)
+    mean = mpmath.fsum(zk * wk for zk, wk in zip(z, w)) / norm
+    var = mpmath.fsum((zk - mean) ** 2 * wk for zk, wk in zip(z, w)) / norm
+    k3 = mpmath.fsum((zk - mean) ** 3 * wk for zk, wk in zip(z, w)) / norm
+    return mean, var, k3, var / mean**2
 
 
 class TestDerivative:
@@ -151,8 +167,40 @@ class TestDerivative:
         d = np.asarray(rfv_derivative(fs.NegBinPositive(pi=0.4, nu=2.0), lam))
         assert np.all(d < 0.0)
 
+    @pytest.mark.parametrize("name", sorted(KPOINT_EXAMPLES))
+    def test_kpoint_derivative_matches_high_precision(self, name):
+        # RFV' = (2 Var^2 - k3 mean) / mean^3; near a root the two terms
+        # cancel, so the error is measured against their size
+        fam = KPOINT_EXAMPLES[name]
+        lam = np.concatenate((np.linspace(0.0, 60.0, 121), [37.578, 38.533, 300.0]))
+        got = rfv_derivative(fam, lam)
+        for x, g in zip(lam, got):
+            mean, var, k3, _ = _mp_survivor_moments(fam, x)
+            ref = (2 * var**2 - k3 * mean) / mean**3
+            size = abs(2 * var**2 / mean**3) + abs(k3 / mean**2)
+            assert abs(g - float(ref)) <= 1e-13 * float(size)
+
 
 class TestStationaryPoints:
+    def test_set1_long_curve_has_three_points(self):
+        # the flat tail of set1 has no stationary point: RFV' < 0 there
+        shape = curve(KPOINT_EXAMPLES["set1"], np.linspace(0.0, 1500.0, 3001))
+        assert [p.kind for p in shape.stationary_points] == ["max", "min", "max"]
+        assert_allclose([p.lam for p in shape.stationary_points],
+                        [0.120937618633, 1.013104519685, 2.771454791425], atol=1e-11)
+
+    @pytest.mark.parametrize("name,want", [
+        ("set1", [(0.1209376186329, "max"), (1.0131045196846, "min"),
+                  (2.7714547914251, "max")]),
+        ("set2", [(0.5587797023874, "max"), (2.2855619603441, "min")]),
+        ("set3", []),
+        ("set4", [(1.7158892233707, "min")]),
+    ])
+    def test_fig2_stationary_points(self, name, want):
+        pts = stationary_points(KPOINT_EXAMPLES[name], 12.0)
+        assert [p.kind for p in pts] == [kind for _, kind in want]
+        assert_allclose([p.lam for p in pts], [lam for lam, _ in want], atol=1e-10)
+
     @pytest.mark.parametrize("fam,where", [
         (fs.Shifted(inner=fs.Poisson(eta=2.0), p=1.0), np.log(2.0)),
         (fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.4), np.log(2.0)),
@@ -279,12 +327,17 @@ class TestCurve:
 
     def test_overflow_messages_name_the_first_point(self):
         grid = np.linspace(0.0, 1500.0, 3001)
-        with pytest.raises(fs.NumericalOverflow,
-                           match=r"overflowed at 1502 of 3001 points, first lam=749\.5$"):
-            rfv_at(KPOINT_EXAMPLES["set1"], grid)
+        # set1's RFV tends to 0: finite everywhere, though L itself underflows
+        ref = rfv_closed_at(KPOINT_EXAMPLES["set1"], grid)
+        got = rfv_at(KPOINT_EXAMPLES["set1"], grid)
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref) + 1e-12)
         with pytest.raises(fs.NumericalOverflow,
                            match=r"admissible range at 1502 of 3001 points, first s=749\.5$"):
             fs.laplace(KPOINT_EXAMPLES["set1"], grid)
+        # set2's RFV first passes the float64 ceiling at lam = 1409.5 (1.84e308)
+        with pytest.raises(fs.NumericalOverflow,
+                           match=r"overflowed at 182 of 3001 points, first lam=1409\.5$"):
+            rfv_at(KPOINT_EXAMPLES["set2"], grid)
         with pytest.raises(fs.NumericalOverflow,
                            match=r"overflowed at 1 of 1 points, first lam=750\.0$"):
             rfv_at(fs.Poisson(eta=2.0), 750.0)
@@ -310,6 +363,54 @@ class TestCurve:
         assert len(side["stationary_points"]) == 1
         assert side["stationary_points"][0]["kind"] == "max"
         assert side["family"]["family"] == "shifted"
+
+
+def _kpoint(support, weights, with_zero):
+    z = sorted(support)
+    if with_zero:
+        z[0] = 0.0
+    return fs.KPoint(support=tuple(z), probs=tuple(np.asarray(weights) / math.fsum(weights)))
+
+
+def _zero_modified(eta, zero_mass):
+    return fs.ZeroModifiedPoisson(eta=eta, phi=zero_mass * math.exp(eta))
+
+
+wide_families = st.one_of(
+    st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
+    st.builds(fs.NegBin, pi=st.floats(0.01, 0.99), nu=st.floats(0.1, 1e3)),
+    st.builds(fs.Binomial, pi=st.floats(0.01, 0.99), n=st.integers(1, 1000)),
+    st.builds(fs.Shifted, inner=st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
+              p=st.floats(0.0, 50.0)),
+    st.builds(fs.NegBinPositive, pi=st.floats(0.01, 0.99), nu=st.integers(1, 100)),
+    st.builds(_zero_modified, eta=st.floats(1e-3, 700.0), zero_mass=st.floats(0.0, 0.99)),
+    st.builds(_kpoint,
+              # gaps below ~1e-154 make the survivor variance underflow, which
+              # breaks every route alike (rfv_at 0, the closed form -1 for an
+              # RFV of 1), so support points start at 1e-150
+              support=st.lists(st.floats(1e-150, 5.0), min_size=5, max_size=5, unique=True),
+              weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+              with_zero=st.booleans()),
+)
+
+
+@settings(max_examples=200)
+@given(wide_families, st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=20))
+def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
+    # One-directional on purpose: the closed forms that start from e^lam
+    # overflow past lam ~ 709.8 even where the RFV itself fits in float64.
+    for lam in [0.0, 1000.0] + lams:
+        try:
+            ref = rfv_closed_at(fam, lam)
+        except fs.NumericalOverflow:
+            ref = None
+        try:
+            got = rfv_at(fam, lam)
+        except fs.NumericalOverflow:
+            assert ref is None, f"rfv_at raised at lam={lam} where the closed form is {ref}"
+            continue
+        if ref is not None:
+            assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-12, (lam, got, ref)
 
 
 def test_builtin_example_sets_are_distributions():
