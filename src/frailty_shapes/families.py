@@ -4,16 +4,13 @@ Each family is an immutable value object validated at construction.  The
 Laplace transform ``L(s) = E[exp(-s Z)]`` together with its first two
 derivatives is available through :func:`laplace`; probability mass, moments,
 and truncated support tables through :func:`pmf`, :func:`moments`, and
-:func:`support_table`.
+:func:`support_table`; the lattice families share one log-pmf.
 
-All transforms are closed-form except the Addams family, which is defined by
-its variance trajectory rather than by a transform; its ``L`` is recovered by
-integrating the second-order initial value problem
-
-    L''(s) L(s) / L'(s)^2 = 1 + gamma * exp(alpha * s),  L(0) = 1, L'(0) = -1
-
-with an adaptive high-order solver (local error 1e-12).  For ``alpha = 0``
-this reduces to the gamma transform with unit mean and variance ``gamma``.
+All transforms are closed-form.  The Addams family is defined by its variance
+trajectory, L''(s) L(s) / L'(s)^2 = 1 + gamma exp(alpha s) with L(0) = 1 and
+L'(0) = -1, whose survivor mean is -L'/L = 1 / (1 + c expm1(alpha s)) with
+c = gamma / alpha (the gamma transform for alpha = 0); the ``addams_ode``
+criterion of :mod:`frailty_shapes.verify` checks it against the integrated ODE.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import solve_ivp
-from scipy.special import gammainc
 
 from . import _kernels
 from .errors import (
@@ -314,6 +308,32 @@ def _as_shifted(family: NegBinPositive) -> Shifted:
     return Shifted(inner=NegBin(pi=family.pi, nu=family.nu), p=float(family.nu))
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _log_pmf(family: FrailtyFamily, k: np.ndarray) -> np.ndarray:
+    """log P(Z = k) at the nonnegative integers ``k`` of a lattice family;
+    -inf off the support."""
+    kf = np.asarray(k, dtype=np.float64)
+    if isinstance(family, Poisson):
+        return kf * math.log(family.eta) - _lgamma(kf + 1.0) - family.eta
+    if isinstance(family, NegBin):
+        return (_lgamma(kf + family.nu) - math.lgamma(family.nu) - _lgamma(kf + 1.0)
+                + family.nu * math.log(family.pi) + kf * math.log1p(-family.pi))
+    if isinstance(family, Binomial):
+        n = family.n
+        j = np.minimum(kf, n)
+        inside = (math.lgamma(n + 1.0) - _lgamma(j + 1.0) - _lgamma(n - j + 1.0)
+                  + j * math.log(family.pi) + (n - j) * math.log1p(-family.pi))
+        return np.where(kf <= n, inside, -np.inf)
+    if isinstance(family, ZeroModifiedPoisson):
+        with np.errstate(divide="ignore"):
+            zero = np.log(family.phi) - family.eta
+        positive = math.log(_zmp_scale(family)) + _log_pmf(Poisson(family.eta), k)
+        return np.where(kf == 0.0, zero, positive)
+    raise UnsupportedFamily(f"not a frailty family: {family!r}")
+
+
 def pmf(family: FrailtyFamily, z: float) -> float:
     """P(Z = z).  Raises ``UnsupportedFamily`` for Addams and GammaFrailty."""
     if isinstance(family, (Addams, GammaFrailty)):
@@ -334,36 +354,19 @@ def pmf(family: FrailtyFamily, z: float) -> float:
     k = round(z)
     if abs(z - k) > _LATTICE_TOL:
         return 0.0
-    if isinstance(family, NegBin):
-        return float(stats.nbinom.pmf(k, family.nu, family.pi))
-    if isinstance(family, Binomial):
-        return float(stats.binom.pmf(k, family.n, family.pi))
-    if isinstance(family, Poisson):
-        return float(stats.poisson.pmf(k, family.eta))
-    if isinstance(family, ZeroModifiedPoisson):
-        if k == 0:
-            return family.phi * math.exp(-family.eta)
-        return _zmp_scale(family) * float(stats.poisson.pmf(k, family.eta))
-    raise UnsupportedFamily(f"not a frailty family: {family!r}")
-
-
-def _truncation_point(dist, tail: float) -> int:
-    """Smallest K with P(Z > K) < tail for a scipy discrete distribution."""
-    k = int(dist.isf(tail))
-    while dist.sf(k) >= tail:
-        k += 1
-    while k > 0 and dist.sf(k - 1) < tail:
-        k -= 1
-    return k
+    return float(np.exp(_log_pmf(family, k)))
 
 
 def support_table(family: FrailtyFamily, tail: float = TAIL_MASS) -> SupportTable:
     """Truncated support and probabilities with tail mass below ``tail``.
 
-    Tables are memoised on ``(family, tail)`` and returned read-only, so a
-    repeat call gives the same object and no caller can change it.
+    ``tail`` must lie in (0, 1).  Tables are memoised on ``(family, tail)``
+    and returned read-only, so a repeat call gives the same object and no
+    caller can change it.
     """
-    return _support_table(family, float(tail))
+    tail = float(tail)
+    _require(0.0 < tail < 1.0, f"support table tail must lie in (0, 1), got {tail}")
+    return _support_table(family, tail)
 
 
 @functools.lru_cache(maxsize=128)
@@ -386,30 +389,21 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
     if isinstance(family, Shifted):
         inner = support_table(family.inner, tail)
         return SupportTable(inner.z + family.p, inner.pmf, inner.tail_mass)
-    if isinstance(family, Binomial):
-        z = np.arange(family.n + 1, dtype=np.float64)
-        return SupportTable(z, stats.binom.pmf(np.arange(family.n + 1),
-                                               family.n, family.pi), 0.0)
-    if isinstance(family, (NegBin, Poisson)):
-        dist = (stats.nbinom(family.nu, family.pi) if isinstance(family, NegBin)
-                else stats.poisson(family.eta))
-        k = _truncation_point(dist, tail)
-        z = np.arange(k + 1, dtype=np.float64)
-        return SupportTable(z, dist.pmf(np.arange(k + 1)), float(dist.sf(k)))
-    if isinstance(family, ZeroModifiedPoisson):
-        scale = _zmp_scale(family)
-        dist = stats.poisson(family.eta)
-        # The positive classes carry `scale` times the Poisson tail.
-        k = max(1, _truncation_point(dist, tail / max(scale, 1.0)))
-        while scale * dist.sf(k) >= tail:
-            k += 1
-        probs = scale * dist.pmf(np.arange(k + 1))
-        probs[0] = family.phi * math.exp(-family.eta)
-        z = np.arange(k + 1, dtype=np.float64)
-        if family.phi == 0.0:
-            z, probs = z[1:], probs[1:]
-        return SupportTable(z, probs, float(scale * dist.sf(k)))
-    raise UnsupportedFamily(f"not a frailty family: {family!r}")
+    # Evaluate out past the mode to a point below e^-46 (~1e-20) times the
+    # tail, beyond which nothing can move the truncation or the tail mass.
+    mean, var = moments(family)
+    hi = int(mean + 10.0 * math.sqrt(var)) + 10
+    log_p = _log_pmf(family, np.arange(hi + 1))
+    while not (log_p[-1] < math.log(tail) - 46.0 and log_p[-1] <= log_p[-2]):
+        hi *= 2
+        log_p = _log_pmf(family, np.arange(hi + 1))
+    p = np.exp(log_p)
+    # after[k] = P(Z > k), summed from the smallest terms up: no 1 - cdf.
+    after = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)
+    k = int(np.argmax(after < tail))
+    keep = np.isfinite(log_p[:k + 1])  # a zero-truncated family starts at 1
+    z = np.arange(k + 1, dtype=np.float64)
+    return SupportTable(z[keep], p[:k + 1][keep], float(after[k]))
 
 
 def min_support(family: FrailtyFamily) -> float:
@@ -433,30 +427,14 @@ def min_support(family: FrailtyFamily) -> float:
 # Laplace transforms
 # ---------------------------------------------------------------------------
 
-_ADDAMS_CACHE: dict = {}
-_ADDAMS_MIN_SPAN = 10.0
-
-
-def _addams_solution(alpha: float, gamma: float, s_max: float):
-    """Dense-output solution of the Addams transform IVP on [0, >= s_max]."""
-    key = (alpha, gamma)
-    cached = _ADDAMS_CACHE.get(key)
-    if cached is not None and cached[0] >= s_max:
-        return cached[1]
-    span = max(float(s_max) * 1.25, _ADDAMS_MIN_SPAN)
-
-    def rhs(s, y):
-        l0, l1 = y
-        return (l1, (1.0 + gamma * math.exp(alpha * s)) * l1 * l1 / l0)
-
-    sol = solve_ivp(rhs, (0.0, span), (1.0, -1.0), method="DOP853",
-                    rtol=1e-12, atol=1e-250, dense_output=True)
-    if not sol.success:
-        raise NumericalOverflow(
-            f"Addams transform integration failed on [0, {span}]: {sol.message}"
-        )
-    _ADDAMS_CACHE[key] = (span, sol.sol)
-    return sol.sol
+def _gamma_p2(x: np.ndarray) -> np.ndarray:
+    """The incomplete gamma P(2, x) = 1 - (1 + x) e^-x, x >= 0; below x = 1,
+    where that cancels, x^2 e^-x times 18 Taylor terms of (e^x - 1 - x) / x^2."""
+    series = np.zeros_like(x)
+    for j in range(17, -1, -1):
+        series = series * x + 1.0 / math.factorial(j + 2)
+    return np.where(x < 1.0, x * (x * (np.exp(-x) * series)),
+                    -np.expm1(-x) - x * np.exp(-x))
 
 
 @np.errstate(all="ignore")
@@ -497,15 +475,28 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         den = family.phi * ex - amp * np.expm1(-x)
         mean = amp * x / den
         return (np.log(den) + x - family.eta, mean,
-                mean * ((family.phi * (1.0 + x) * ex + amp * gammainc(2.0, x)) / den))
+                mean * ((family.phi * (1.0 + x) * ex + amp * _gamma_p2(x)) / den))
     if isinstance(family, Addams):
-        if family.alpha == 0.0:
-            return _survivor_triple(GammaFrailty(mean=1.0, variance=family.gamma), s)
-        dense = _addams_solution(family.alpha, family.gamma, float(np.max(s)))
-        l0, l1 = (v.reshape(s.shape) for v in dense(np.atleast_1d(s)))
-        mean = -l1 / l0
-        # the defining relation: variance / mean^2 = gamma e^(alpha s)
-        return np.log(l0), mean, family.gamma * np.exp(family.alpha * s) * mean**2
+        alpha, gamma = family.alpha, family.gamma
+        if alpha == 0.0:
+            return _survivor_triple(GammaFrailty(mean=1.0, variance=gamma), s)
+        # var = gamma e^t mean^2 and mean = -(log L)' give (1 / mean)' =
+        # gamma e^t, so 1 / mean = 1 + c expm1(t), t = alpha s, c = gamma / alpha.
+        c, t = gamma / alpha, alpha * s
+        if alpha > 0.0:  # e^-t / mean, a sum of nonnegative terms
+            d = np.exp(-t) - c * np.expm1(-t)
+            mean, dispersion = np.exp(-t) / d, gamma / d  # var / mean
+        else:
+            mean = 1.0 / (1.0 + c * np.expm1(t))
+            dispersion = gamma * np.exp(t) * mean
+        # log L = log1p(y) / (a alpha), y = a expm1(-t), a = 1 - c, as
+        # (e / alpha) log1p(y) / y: no cancellation as c -> 1.  Past the
+        # overflow of y (alpha < 0), log1p(y) = log a - t + log1p(c e^t / a).
+        a, e = 1.0 - c, np.expm1(-t)
+        y = a * e
+        log_l = (e / alpha) * np.where(y == 0.0, 1.0, np.log1p(y) / y)
+        big = (np.log(a) - t + np.log1p(c * np.exp(t) / a)) / (a * alpha)
+        return np.where(np.isfinite(y), log_l, big), mean, dispersion * mean
     if isinstance(family, KPoint):
         z = np.asarray(family.support)
         norm, mean, var, _ = _kernels.kpoint_central_moments(

@@ -211,16 +211,16 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
         if isinstance(inner, Poisson):
             x = inner.eta * np.exp(-lam)
             c = x + p
-            return x * (x - p) / c**3
+            return x * (x - p) / c / c / c
         if isinstance(inner, NegBin):
             q = 1.0 - inner.pi
             e = np.exp(lam)
             c = inner.nu * q + p * (e - q)
-            return inner.nu * q * e * (q * (inner.nu - p) - p * e) / c**3
+            return inner.nu * q * e * (q * (inner.nu - p) - p * e) / c / c / c
         q = 1.0 - inner.pi  # Binomial
         x = inner.pi * np.exp(-lam) * (p + inner.n)
         c = x + p * q
-        return q * inner.pi * inner.n * np.exp(-lam) * (x - p * q) / c**3
+        return q * inner.pi * inner.n * np.exp(-lam) * (x - p * q) / c / c / c
     if isinstance(family, ZeroModifiedPoisson):
         offset, ratio = zmp_derivative_terms(family, lam)
         return (np.exp(lam) / family.eta) * (1.0 + offset / np.asarray(ratio))

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyWindow, ParameterOutOfRange, TooFewAtRisk
+from .errors import EmptyWindow, NumericalOverflow, ParameterOutOfRange, TooFewAtRisk
 from .families import (
     Addams,
     Binomial,
@@ -28,7 +28,7 @@ from .families import (
     Poisson,
     Shifted,
     ZeroModifiedPoisson,
-    _addams_solution,
+    _survivor_triple,
     laplace,
     min_support,
 )
@@ -416,6 +416,22 @@ def _crit_timevarying_shift() -> list:
     return checks
 
 
+def _addams_ode(alpha: float, gamma: float):
+    """Dense-output solution (L, L') of the Addams transform's defining
+    initial value problem on [0, 10], integrated to a local error of 1e-12."""
+    from scipy.integrate import solve_ivp  # only this criterion needs scipy
+
+    def rhs(s, y):
+        l0, l1 = y
+        return (l1, (1.0 + gamma * math.exp(alpha * s)) * l1 * l1 / l0)
+
+    sol = solve_ivp(rhs, (0.0, 10.0), (1.0, -1.0), method="DOP853",
+                    rtol=1e-12, atol=1e-250, dense_output=True)
+    if not sol.success:
+        raise NumericalOverflow(f"Addams transform integration failed: {sol.message}")
+    return sol.sol
+
+
 def _stencil_l2(dense, s: float, h: float) -> float:
     """Second derivative of L at s from a five-point stencil of L'."""
     if s >= 2.0 * h:
@@ -427,14 +443,15 @@ def _stencil_l2(dense, s: float, h: float) -> float:
 
 
 def _crit_addams_ode() -> list:
-    """The integrated transform satisfies its defining relation, and the
-    exponent-zero member reproduces the closed-form gamma transform."""
+    """The integrated transform satisfies its defining relation, the
+    exponent-zero member reproduces the closed-form gamma transform, and the
+    library's closed form matches the integrated log L and survivor mean."""
     checks = []
     h = 0.004
     grid = np.linspace(0.0, 5.0, 126)
     for alpha in (-0.3, 0.0, 0.3):
         gamma = 0.5
-        dense = _addams_solution(alpha, gamma, 5.0 + 5.0 * h)
+        dense = _addams_ode(alpha, gamma)
         worst = 0.0
         for s in grid:
             l0, l1 = (float(v) for v in dense(float(s)))
@@ -443,7 +460,14 @@ def _crit_addams_ode() -> list:
             worst = max(worst, resid)
         checks.append(_below(f"defining-relation residual (alpha={alpha})",
                              worst, 1e-8))
-    dense0 = _addams_solution(0.0, 0.5, 5.0)
+        l0, l1 = dense(grid)
+        log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), grid)
+        gap = max(float(np.max(np.abs(log_l - np.log(l0)))),
+                  float(np.max(np.abs(mean + l1 / l0))))
+        checks.append(_below(f"closed form vs ODE log L and mean (alpha={alpha})",
+                             gap, 1e-8))
+        if alpha == 0.0:
+            dense0 = dense
     svals = np.linspace(0.0, 5.0, 101)
     got = dense0(svals)
     base = 1.0 + 0.5 * svals

@@ -1,7 +1,8 @@
 import hypothesis
 
-# The first Addams example integrates its transform ODE, which can blow
-# hypothesis' per-example deadline, so it is disabled globally.
+# These tests check values, not per-example run time; a cold first example
+# (empty support-table caches, first numpy calls) on a busy host can exceed
+# hypothesis' default deadline, so the deadline is disabled globally.
 hypothesis.settings.register_profile(
     "frailty", deadline=None, max_examples=60, print_blob=True
 )

@@ -432,3 +432,35 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     missing += [f"_kernels.{n}" for n in traced.KERNELS
                 if not callable(getattr(kernels, n, None))]
     assert missing == []
+
+
+_SCIPY_PROBE = """
+import sys
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+from frailty_shapes.cli import main
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+print("after --help:", scipy_loaded())
+from frailty_shapes.verify import run_criterion
+print("before addams_ode:", scipy_loaded())
+passed = run_criterion("addams_ode").passed
+print("after addams_ode:", scipy_loaded(), passed)
+"""
+
+
+def test_scipy_is_imported_only_by_the_addams_ode_criterion():
+    """Start-up stays numpy plus the package: no import path loads scipy,
+    which only ``verify``'s ODE criterion needs."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == [
+        "after --help: False",
+        "before addams_ode: False",
+        "after addams_ode: True True",
+    ]

@@ -6,9 +6,12 @@ scipy.stats pmfs.
 """
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from frailty_shapes import (
     KPoint,
     NegBin,
     NegBinPositive,
+    NumericalOverflow,
     ParameterOutOfRange,
     PiecewiseConstant,
     Poisson,
@@ -36,8 +40,10 @@ from frailty_shapes import (
     min_support,
     moments,
     pmf,
+    rfv_at,
     support_table,
 )
+from frailty_shapes.families import _gamma_p2, _survivor_triple
 
 LN2 = np.log(2.0)
 
@@ -99,11 +105,16 @@ class TestPmf:
         (Poisson(eta=2.0), scipy.stats.poisson(2.0)),
         (Binomial(pi=0.3, n=5), scipy.stats.binom(5, 0.3)),
         (NegBin(pi=0.5, nu=2.0), scipy.stats.nbinom(2.0, 0.5)),
+        # the two oracle benchmark families, over their whole support tables
+        (Poisson(eta=200.0), scipy.stats.poisson(200.0)),
+        (NegBin(pi=0.3, nu=4.0), scipy.stats.nbinom(4.0, 0.3)),
     ])
     def test_matches_scipy(self, fam, dist):
-        z = np.arange(8)
+        table = support_table(fam)
+        z = np.union1d(np.arange(8), table.z)
         ours = np.array([pmf(fam, float(k)) for k in z])
         assert_allclose(ours, dist.pmf(z), rtol=1e-12)
+        assert_allclose(table.pmf, dist.pmf(table.z), rtol=1e-12)
 
     def test_positive_negbin_sits_on_shifted_support(self):
         # Z - nu is negative binomial with success probability pi, so the
@@ -133,6 +144,151 @@ class TestPmf:
         fam = KPoint(support=(0.0, 1.0, 2.5), probs=(0.2, 0.5, 0.3))
         assert pmf(fam, 1.0) == 0.5
         assert pmf(fam, 0.7) == 0.0
+
+
+_LATTICE_SCIPY = [
+    (Poisson(eta=2.0), scipy.stats.poisson(2.0)),
+    (Poisson(eta=200.0), scipy.stats.poisson(200.0)),
+    (NegBin(pi=0.3, nu=4.0), scipy.stats.nbinom(4.0, 0.3)),
+    (NegBin(pi=0.5, nu=0.3), scipy.stats.nbinom(0.3, 0.5)),
+    (Binomial(pi=0.3, n=5), scipy.stats.binom(5, 0.3)),
+    (Binomial(pi=0.01, n=1000), scipy.stats.binom(1000, 0.01)),
+]
+
+
+class TestSupportTable:
+    @pytest.mark.parametrize("tail", [1e-14, 1e-18, 1e-22])
+    @pytest.mark.parametrize("fam,dist", _LATTICE_SCIPY)
+    def test_truncation_point_is_minimal(self, fam, dist, tail):
+        # K is the smallest point with P(Z > K) < tail: dropping the last
+        # retained point would put the tail at or above the bound.
+        t = support_table(fam, tail)
+        k = t.z[-1]
+        sf = dist.sf(k)
+        assert_allclose(t.tail_mass, sf, rtol=1e-10, atol=1e-300)
+        assert t.tail_mass < tail <= t.tail_mass + t.pmf[-1]
+        assert np.array_equal(t.z, np.arange(k + 1))
+
+    @pytest.mark.parametrize("tail", [1e-14, 1e-18, 1e-22])
+    @pytest.mark.parametrize("fam", [
+        ZeroModifiedPoisson(eta=3.0, phi=0.05),
+        ZeroModifiedPoisson(eta=0.8, phi=0.0),
+        ZeroModifiedPoisson(eta=2.0, phi=2.0),
+        NegBinPositive(pi=0.4, nu=2),
+        Shifted(inner=Poisson(eta=200.0), p=1.5),
+    ])
+    def test_every_lattice_family_reaches_fine_tails(self, fam, tail):
+        t = support_table(fam, tail)
+        assert t.tail_mass < tail <= t.tail_mass + t.pmf[-1]
+        assert t.z[0] == min_support(fam)
+        # Poisson(200)'s log-pmf cancels terms near 1e3, so its pmf carries
+        # ~1e-13 relative error (scipy's sums to 1 - 1.1e-13 there)
+        assert_allclose(math.fsum(t.pmf) + t.tail_mass, 1.0, rtol=5e-13)
+
+    def test_zero_modified_tail_is_scaled_poisson_tail(self):
+        fam = ZeroModifiedPoisson(eta=3.0, phi=0.05)
+        base = scipy.stats.poisson(3.0)
+        scale = (1.0 - 0.05 * base.pmf(0)) / (1.0 - base.pmf(0))
+        for tail in (1e-14, 1e-18, 1e-22):
+            t = support_table(fam, tail)
+            assert_allclose(t.tail_mass, scale * base.sf(t.z[-1]), rtol=1e-10)
+            assert_allclose(t.pmf[1:], scale * base.pmf(t.z[1:]), rtol=1e-12)
+
+    @pytest.mark.parametrize("tail", [0.0, -1e-14, 1.0, 2.0, math.inf, math.nan])
+    def test_tail_outside_unit_interval_rejected(self, tail):
+        for fam in (Poisson(eta=2.0), KPoint(support=(0.0, 1.0), probs=(0.5, 0.5))):
+            with pytest.raises(ParameterOutOfRange, match="tail must lie in"):
+                support_table(fam, tail)
+
+
+def test_gamma_p2_matches_high_precision_reference():
+    # scipy's gammainc(2, x) is itself off by up to 5.7e-14 relative below
+    # x = 0.3 (it forms x^2 as exp(2 log x)), so the reference is mpmath; the
+    # closed branch (x >= 1) is also checked against scipy directly.
+    mpmath.mp.dps = 50
+    x = np.logspace(-300, 3, 2001)
+    want = np.array([float(mpmath.gammainc(2, 0, mpmath.mpf(v), regularized=True))
+                     for v in x])
+    got = _gamma_p2(x)
+    tiny = np.finfo(np.float64).tiny
+    normal = want >= tiny
+    assert_allclose(got[normal], want[normal], rtol=4e-16, atol=0.0)
+    # subnormal results: within one unit of the last place
+    assert np.max(np.abs(got[~normal] - want[~normal])) <= np.finfo(np.float64).smallest_subnormal
+    big = x >= 1.0
+    assert_allclose(got[big], scipy.special.gammainc(2.0, x[big]), rtol=4e-16, atol=0.0)
+
+
+class TestAddamsClosedForm:
+    """The Addams survivor triple in closed form: 1 / mean = 1 + c expm1(alpha s)
+    with c = gamma / alpha, and log L its integral."""
+
+    def test_far_times_are_fast_and_keep_their_limits(self):
+        start = time.perf_counter()
+        for alpha in (0.3, -0.3):
+            fam = Addams(alpha=alpha, gamma=0.5)
+            c = 0.5 / alpha
+            for s in (800.0, 1e4):
+                log_l, mean, var = _survivor_triple(fam, np.asarray(s))
+                assert np.isfinite(log_l) and np.isfinite(mean) and np.isfinite(var)
+                if alpha < 0.0:
+                    assert_allclose(mean, 1.0 / (1.0 - c), rtol=1e-15)
+                else:
+                    assert mean < 1e-100
+                want = 0.5 * math.exp(alpha * s) if alpha * s < 700.0 else math.inf
+                if math.isfinite(want):
+                    assert_allclose(rfv_at(fam, s), want, rtol=1e-15, atol=0.0)
+                else:  # the RFV itself leaves float64 range
+                    with pytest.raises(NumericalOverflow):
+                        rfv_at(fam, s)
+                if math.exp(log_l) > 0.0:
+                    l0, l1, l2 = laplace(fam, s)
+                    assert l0 == math.exp(log_l) and l1 <= 0.0 <= l2
+                else:  # laplace raises exactly where L underflows
+                    with pytest.raises(NumericalOverflow):
+                        laplace(fam, s)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 2.0])
+    def test_continuous_across_c_equal_one(self, alpha):
+        # c = gamma / alpha = 1 +- 1e-8, against a 50-digit evaluation of
+        # -(s - log1p(c expm1(alpha s)) / alpha) / (1 - c), whose division by
+        # 1 - c loses eight digits in float64
+        mpmath.mp.dps = 50
+        s = np.array([0.0, 1e-6, 0.5, 3.0, 20.0, 100.0])
+        log_one, mean_one, _ = _survivor_triple(Addams(alpha=alpha, gamma=alpha), s)
+        assert_allclose(log_one, np.expm1(-alpha * s) / alpha, rtol=1e-15, atol=0.0)
+        for gamma in (alpha * (1.0 - 1e-8), alpha * (1.0 + 1e-8)):
+            log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
+            c = mpmath.mpf(gamma) / mpmath.mpf(alpha)
+            ref_log, ref_mean = [], []
+            for si in s:
+                em = mpmath.expm1(mpmath.mpf(alpha) * mpmath.mpf(si))
+                ref_mean.append(float(1 / (1 + c * em)))
+                ref_log.append(float(-(mpmath.mpf(si) - mpmath.log1p(c * em) / alpha)
+                                     / (1 - c)))
+            assert_allclose(log_l, ref_log, rtol=1e-12, atol=0.0)
+            assert_allclose(mean, ref_mean, rtol=1e-12, atol=0.0)
+            # and next to the c = 1 member by no more than the true gap: a
+            # relative change of 1e-8 in c moves log L by at most half that
+            # and the mean by at most that (mean ~ e^-(alpha s) / c late on)
+            assert_allclose(log_l, log_one, rtol=5.1e-9, atol=0.0)
+            assert_allclose(mean, mean_one, rtol=1.01e-8, atol=0.0)
+
+    def test_matches_the_integrated_transform(self):
+        from scipy.integrate import solve_ivp
+
+        s = np.linspace(0.0, 8.0, 161)
+        for alpha, gamma in ((0.3, 0.5), (-0.3, 0.5), (0.5, 0.5), (1.0, 0.2),
+                             (-1.0, 2.0), (0.05, 3.0), (-0.05, 0.1)):
+            def rhs(t, y, alpha=alpha, gamma=gamma):
+                return (y[1], (1.0 + gamma * math.exp(alpha * t)) * y[1] * y[1] / y[0])
+
+            sol = solve_ivp(rhs, (0.0, 8.0), (1.0, -1.0), method="DOP853",
+                            rtol=1e-12, atol=1e-250, t_eval=s)
+            log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
+            assert_allclose(log_l, np.log(sol.y[0]), rtol=1e-8, atol=0.0)
+            assert_allclose(mean, -sol.y[1] / sol.y[0], rtol=1e-8, atol=0.0)
 
 
 class TestMoments:

@@ -181,6 +181,36 @@ class TestDerivative:
             assert abs(g - float(ref)) <= 1e-13 * float(size)
 
 
+def _mp_shifted_rfv(fam, lam):
+    """The shifted family's closed-form RFV at 50 digits."""
+    p, inner = mpmath.mpf(fam.p), fam.inner
+    if isinstance(inner, fs.Poisson):
+        x = inner.eta * mpmath.exp(-lam)
+        return x / (x + p) ** 2
+    q = 1 - mpmath.mpf(inner.pi)
+    if isinstance(inner, fs.NegBin):
+        c = inner.nu * q + p * (mpmath.exp(lam) - q)
+        return mpmath.exp(lam) * inner.nu * q / c**2
+    c = inner.pi * mpmath.exp(-lam) * (p + inner.n) + p * q
+    return q * inner.pi * inner.n * mpmath.exp(-lam) / c**2
+
+
+@pytest.mark.parametrize("fam", [
+    fs.Shifted(inner=fs.Poisson(eta=2.0), p=0.0),
+    fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.4),
+    fs.Shifted(inner=fs.Binomial(pi=0.5, n=4), p=0.0),
+], ids=["poisson", "negbin", "binomial"])
+def test_shifted_derivative_where_the_cube_of_c_leaves_range(fam):
+    # at lam = 300, c^3 underflows (p = 0) or overflows (negbin); the
+    # derivative divides by c three times instead, without a warning
+    mpmath.mp.dps = 50
+    lam = 300.0
+    want = float(mpmath.diff(lambda x: _mp_shifted_rfv(fam, x), mpmath.mpf(lam)))
+    got = rfv_derivative(fam, lam)
+    assert math.isfinite(got) and got != 0.0
+    assert_allclose(got, want, rtol=1e-13)
+
+
 class TestStationaryPoints:
     def test_set1_long_curve_has_three_points(self):
         # the flat tail of set1 has no stationary point: RFV' < 0 there
