@@ -105,7 +105,7 @@ def _cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     family = family_from_dict(cfg["family"])
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 41}))
-    ratio = np.asarray(rfv_at(family, grid))
+    ratio = rfv_at(family, grid)
     brute = oracle_mod.rfv(family, grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
@@ -154,7 +154,7 @@ def _cmd_correlated(args) -> int:
     model = _correlated_from(cfg)
     top = float(sum(model.etas))
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": top, "points": 101}))
-    crf = np.asarray(model.crf_of_d(grid))
+    crf = model.crf_of_d(grid)
     out = _out_path(cfg, args)
     # The correlated model's cross-ratio is no longer 1 + RFV of any single
     # frailty, so the CSV deliberately omits an rfv column.
@@ -170,7 +170,7 @@ def _cmd_correlated(args) -> int:
             "w_dist": family_to_dict(model.w_dist),
             "hazards": [hazard_to_dict(h) for h in model.hazards],
         },
-        "limit_crf": float(model.crf_of_d(top)),
+        "limit_crf": model.crf_of_d(top),
         "frailty_correlations": pairs,
     })
     return 0
@@ -220,7 +220,7 @@ def _cmd_timevarying(args) -> int:
     model = TimeVaryingShift(inner=family_from_dict(cfg["inner"]),
                              shift_fn=shift_from_dict(cfg["shift"]))
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 201}))
-    vals = np.asarray(timevarying_shift_rfv(model, grid))
+    vals = timevarying_shift_rfv(model, grid)
     out = _out_path(cfg, args)
     write_csv(out, ("lambda", "rfv", "crf"), (grid, vals, vals + 1.0))
     write_json(sidecar_path(out), {

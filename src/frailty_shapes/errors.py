@@ -31,10 +31,6 @@ class NumericalOverflow(FrailtyModelError, ArithmeticError):
     """A computation left the representable range; never returned silently."""
 
 
-class RootSolverFailed(FrailtyModelError, ArithmeticError):
-    """A bracketing/bisection step lost its sign change."""
-
-
 class DivisionNearZero(FrailtyModelError, ArithmeticError):
     """A denominator in a ratio formula is numerically zero."""
 

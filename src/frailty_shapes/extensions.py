@@ -26,11 +26,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    DegenerateConditional,
     DegenerateDistribution,
     DivisionNearZero,
     LengthMismatch,
-    NumericalOverflow,
     ParameterOutOfRange,
     TimeBeforeFinalSegment,
     UnsupportedFamily,
@@ -40,6 +38,7 @@ from .families import (
     GammaFrailty,
     PROB_SUM_TOL,
     _bad_points,
+    _finite_result,
     _survivor_triple,
     check_grid,
     laplace,
@@ -47,9 +46,9 @@ from .families import (
     support_table,
     validate,
 )
-from .oracle import SurvivorPmf, rfv as oracle_rfv, survivor_pmf
+from .oracle import SurvivorPmf, _normalised, _rfv_from_sums, rfv as oracle_rfv, survivor_pmf
 from .shapes import classify_tail, crf_at
-from .simulate import _check_time_vector, _philox
+from .simulate import _check_time_vector, _inverse_cdf, _philox
 
 _STREAM_CORRELATED = 3
 
@@ -96,15 +95,14 @@ class CorrelatedPoissonModel:
         return total
 
     def joint_survival(self, t) -> float:
-        l0, _, _ = laplace(self.w_dist, self.d_of_t(t))
-        return float(l0)
+        return laplace(self.w_dist, self.d_of_t(t)).l0
 
     def crf_of_d(self, d):
         """Cross-ratio between any two targets: the mixer's CRF at d."""
         return crf_at(self.w_dist, d)
 
     def correlated_crf(self, t) -> float:
-        return float(self.crf_of_d(self.d_of_t(t)))
+        return self.crf_of_d(self.d_of_t(t))
 
     def frailty_correlation(self, j: int, j_prime: int) -> float:
         """corr(Z^(j), Z^(j')) induced by the shared mixer."""
@@ -130,9 +128,7 @@ class CorrelatedPoissonModel:
             w = rng.gamma(shape, scale, size=n)
         else:
             table = support_table(self.w_dist)
-            cdf = np.cumsum(table.pmf)
-            codes = np.searchsorted(cdf, rng.random(n), side="right")
-            w = table.z[np.minimum(codes, table.z.shape[0] - 1)]
+            w = table.z[_inverse_cdf(table, rng.random(n))]
         lam = w[:, None] * np.asarray(self.etas)[None, :]
         return rng.poisson(lam).astype(np.float64)
 
@@ -275,30 +271,20 @@ def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
         return survivor_pmf(model.segment_families[-1], load)
     table, prior = _coupled_weights(model, loads)
     unnorm = prior[0] * np.exp(-(table.z - table.z[0]) * loads[-1])
-    total = float(unnorm.sum())
-    if total <= 0.0:
-        raise DegenerateConditional(
-            "survivors have probability zero under the coupling table")
-    probs = unnorm / total
-    keep = probs > 0.0
-    return SurvivorPmf(lam=float(loads.sum()), support=table.z[keep],
-                       probs=probs[keep], tail_mass_bound=table.tail_mass)
+    return _normalised(float(loads.sum()), table.z, unnorm, table.tail_mass)
 
 
 def piecewise_rfv(model: PiecewiseFrailtyModel, t):
     """Relative frailty variance of the currently acting frailty at ``t``: a
-    time vector ``(J,)`` gives a scalar, a matrix ``(n, J)`` one value per row."""
+    time vector ``(J,)`` gives a float, a matrix ``(n, J)`` one value per row."""
     loads = model.segment_loads(t)
     if isinstance(model.joint_coupling, str):
         return oracle_rfv(model.segment_families[-1], _named_coupling_load(model, loads))
     table, prior = _coupled_weights(model, loads)
+    final = np.asarray(loads[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(loads[..., -1]))
-    mean = table.z[0] + m1
-    if not np.all(mean > 0.0):  # nan where no survivor weight is left
-        raise DegenerateConditional("survivors carry no frailty under the coupling table")
-    out = (m2 - m1**2) / mean**2
-    return float(out[0]) if loads.ndim == 1 else out
+        _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(final))
+    return _rfv_from_sums("the coupled final segment", final, table.z[0], m1, m2)
 
 
 def piecewise_tail(model: PiecewiseFrailtyModel):
@@ -412,11 +398,7 @@ def timevarying_shift_rfv(model: TimeVaryingShift, lam):
             f"shifted mean vanishes at {_bad_points(arr, vanished, 'lambda')}")
     with np.errstate(over="ignore"):
         out = (var / shifted) / shifted
-    overflow = ~np.isfinite(out)
-    if overflow.any():
-        raise NumericalOverflow(f"RFV of {model} overflowed at "
-                                f"{_bad_points(arr, overflow, 'lambda')}")
-    return out[()]
+    return _finite_result(out, arr, f"RFV of {model}", "lambda")
 
 
 def shift_to_dict(path: ShiftPath) -> dict:

@@ -526,6 +526,16 @@ def _bad_points(arr: np.ndarray, bad: np.ndarray, name: str) -> str:
     return f"{np.sum(bad)} of {arr.size} points, first {name}={float(arr[bad].flat[0])!r}"
 
 
+def _finite_result(out: np.ndarray, arr: np.ndarray, what: str, name: str = "lam"):
+    """``out``, evaluated on the grid ``arr``, as a Python float when 0-d and
+    as the array otherwise; raises :class:`NumericalOverflow` naming the first
+    point where ``what`` is not finite."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NumericalOverflow(f"{what} overflowed at {_bad_points(arr, bad, name)}")
+    return float(out) if out.ndim == 0 else out
+
+
 def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     """Laplace transform triple (L, L', L'') at ``s`` (scalar or array, s >= 0).
 

@@ -20,7 +20,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateConditional, NumericalOverflow, ParameterOutOfRange
-from .families import FrailtyFamily, TAIL_MASS, _bad_points, check_grid, support_table
+from .families import (
+    FrailtyFamily,
+    TAIL_MASS,
+    _bad_points,
+    _finite_result,
+    check_grid,
+    support_table,
+)
 
 #: The post-conditioning tail bound enforced on every survivor distribution.
 TAIL_BOUND = 1e-12
@@ -63,14 +70,37 @@ def _survivor_sums(family: FrailtyFamily, lams: np.ndarray):
     )
 
 
+def _normalised(lam: float, z: np.ndarray, w: np.ndarray, bound: float) -> SurvivorPmf:
+    """The survivor pmf at ``lam`` from the weights ``w`` on the support ``z``,
+    without the atoms whose conditional probability is 0."""
+    total = w.sum()
+    if not total > 0.0:
+        raise DegenerateConditional(f"survivors have probability zero at lam={lam}")
+    probs = w / total
+    keep = probs > 0.0
+    return SurvivorPmf(lam=lam, support=z[keep], probs=probs[keep], tail_mass_bound=bound)
+
+
+def _rfv_from_sums(what: str, lams: np.ndarray, z0: float, m1, m2):
+    """The RFV at ``lams`` from the survivor sums recentred at ``z0``, as
+    (m2 - m1^2) / mean / mean with mean = z0 + m1: dividing twice keeps a
+    mean below 1e-154 from underflowing when squared."""
+    m1, m2 = m1.reshape(lams.shape), m2.reshape(lams.shape)
+    mean = z0 + m1
+    vanished = ~(mean > 0.0)  # also nan, where no survivor weight is left
+    if vanished.any():
+        raise DegenerateConditional(f"survivor mean of {what} vanished at "
+                                    f"{_bad_points(lams, vanished, 'lam')}")
+    with np.errstate(over="ignore"):
+        return _finite_result((m2 - m1**2) / mean / mean, lams, f"survivor RFV of {what}")
+
+
 def survivor_pmf(family: FrailtyFamily, lam: float) -> SurvivorPmf:
     """Conditional pmf of Z among survivors at generic time ``lam``."""
     lam = float(check_grid(lam))
     table, _, _, _, bound = _survivor_sums(family, np.array([lam]))
     z = table.z
-    w = table.pmf * np.exp(-(z - z[0]) * lam)
-    return SurvivorPmf(lam=lam, support=z, probs=w / w.sum(),
-                       tail_mass_bound=float(bound[0]))
+    return _normalised(lam, z, table.pmf * np.exp(-(z - z[0]) * lam), float(bound[0]))
 
 
 def survivor_moment(family: FrailtyFamily, lam: float, q: int) -> float:
@@ -83,19 +113,14 @@ def survivor_moment(family: FrailtyFamily, lam: float, q: int) -> float:
 
 def rfv(family: FrailtyFamily, lam):
     """Relative frailty variance Var(Z | T > t) / E(Z | T > t)^2 at ``lam``;
-    scalar in, scalar out, or over a grid.
+    a float for a scalar ``lam``, else an array.
 
     Variance is formed from moments recentred at the smallest support point,
     which keeps it accurate when the survivors concentrate there.
     """
     arr = check_grid(lam)
     table, m1, m2, _, _ = _survivor_sums(family, np.atleast_1d(arr))
-    mean = table.z[0] + m1
-    if np.any(mean <= 0.0):
-        raise DegenerateConditional(f"survivor mean of {family} vanished at "
-                                    f"{_bad_points(np.atleast_1d(arr), mean <= 0.0, 'lam')}")
-    out = (m2 - m1**2) / mean**2
-    return float(out[0]) if arr.ndim == 0 else out
+    return _rfv_from_sums(str(family), arr, table.z[0], m1, m2)
 
 
 def smallest_point_prob_grid(family: FrailtyFamily, lams) -> np.ndarray:

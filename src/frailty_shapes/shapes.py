@@ -26,12 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import _io, _kernels
-from .errors import (
-    NumericalOverflow,
-    ParameterOutOfRange,
-    RootSolverFailed,
-    UnsupportedFamily,
-)
+from .errors import ParameterOutOfRange, UnsupportedFamily
 from .families import (
     Addams,
     Binomial,
@@ -43,7 +38,7 @@ from .families import (
     Poisson,
     Shifted,
     ZeroModifiedPoisson,
-    _bad_points,
+    _finite_result,
     _survivor_triple,
     check_grid,
     family_to_dict,
@@ -100,14 +95,10 @@ def _triple_rfv(family: FrailtyFamily, arr: np.ndarray) -> np.ndarray:
 
 def rfv_at(family: FrailtyFamily, lam):
     """RFV via the Laplace route, the survivors' variance over their squared
-    mean; scalar in, scalar out (or array).  Raises :class:`NumericalOverflow` unless it is finite at every point."""
+    mean; a float for a scalar ``lam``, else an array.  Raises
+    :class:`NumericalOverflow` unless it is finite at every point."""
     arr = check_grid(lam)
-    rfv = _triple_rfv(family, arr)
-    overflow = ~np.isfinite(rfv)
-    if overflow.any():
-        raise NumericalOverflow(
-            f"RFV of {family} overflowed at {_bad_points(arr, overflow, 'lam')}")
-    return rfv[()]
+    return _finite_result(_triple_rfv(family, arr), arr, f"RFV of {family}")
 
 
 def crf_at(family: FrailtyFamily, lam):
@@ -135,11 +126,7 @@ def rfv_closed_at(family: FrailtyFamily, lam):
     """Per-family closed form of the RFV, independent of :func:`laplace`."""
     arr = check_grid(lam)
     with np.errstate(all="ignore"):
-        out = _rfv_closed(family, arr)
-    if not np.all(np.isfinite(out)):
-        raise NumericalOverflow(f"closed-form RFV of {family} overflowed at "
-                                f"{_bad_points(arr, ~np.isfinite(out), 'lam')}")
-    return float(out) if np.ndim(lam) == 0 else out
+        return _finite_result(_rfv_closed(family, arr), arr, f"closed-form RFV of {family}")
 
 
 def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
@@ -194,10 +181,11 @@ def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
 
 def rfv_derivative(family: FrailtyFamily, lam):
     """d RFV / d lam; analytic where the closed form factors cleanly,
-    otherwise a central finite difference of :func:`rfv_at`."""
+    otherwise from the survivors' central moments.  Raises
+    :class:`NumericalOverflow` unless it is finite at every point."""
     arr = check_grid(lam)
-    out = _rfv_derivative(family, arr)
-    return float(out) if np.ndim(lam) == 0 else out
+    with np.errstate(all="ignore"):
+        return _finite_result(_rfv_derivative(family, arr), arr, f"RFV derivative of {family}")
 
 
 def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
@@ -241,51 +229,39 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
 
-def _second_derivative(family: FrailtyFamily, lam: float) -> float:
-    h = 1e-5 * max(1.0, lam)
-    lo = max(lam - h, 0.0)
-    return float((rfv_derivative(family, lam + h) - rfv_derivative(family, lo))
-                 / (lam + h - lo))
+def _second_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
+    h = 1e-5 * np.maximum(1.0, lam)
+    lo = np.maximum(lam - h, 0.0)
+    return (_rfv_derivative(family, lam + h) - _rfv_derivative(family, lo)) / (lam + h - lo)
 
 
-def _classify_root(family: FrailtyFamily, lam: float) -> StationaryPoint:
-    d2 = _second_derivative(family, lam)
-    if abs(d2) < SADDLE_TOL:
-        kind = "saddle"
-    else:
-        kind = "min" if d2 > 0.0 else "max"
-    return StationaryPoint(lam=lam, kind=kind)
-
-
-def _bisect_root(family, lo, hi, flo, fhi) -> float:
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise RootSolverFailed(
-            f"lost the sign change while bisecting RFV' of {family} on [{lo}, {hi}]"
-        )
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        fmid = rfv_derivative(family, mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
+    """Roots of ``f`` in the brackets ``[lo, hi]``, across which ``f`` changes
+    sign from ``f_lo``; all brackets are halved together, and each stops once
+    it is narrower than ``BISECT_TOL`` or holds no float between its ends."""
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    live = np.arange(lo.shape[0])
+    while True:
+        live = live[(hi[live] - lo[live] > BISECT_TOL)
+                    & (np.nextafter(lo[live], hi[live]) < hi[live])]
+        if not live.size:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
+        f_mid = f(mid)
+        left = np.sign(f_mid) != np.sign(f_lo[live])
+        hi[live[left]] = mid[left]
+        lo[live[~left]], f_lo[live[~left]] = mid[~left], f_mid[~left]
 
 
 def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     """All stationary points of the RFV on [0, lambda_max], sorted.
 
     Sign changes of RFV' on a uniform scan grid (``lambda_max / 4096`` steps)
-    are refined by bisection; tangential roots, where RFV' touches zero
-    without changing sign (the zero-modified-Poisson saddle), are picked up
-    from near-zero local minima of |RFV'| and refined on the derivative of
-    RFV'.  Each point is classified min/max/saddle by the second derivative.
+    are refined by bisection and classified min/max/saddle by the second
+    derivative; tangential roots, where RFV' touches zero without changing
+    sign (the zero-modified-Poisson saddle), are picked up from near-zero
+    local minima of |RFV'| and refined on the derivative of RFV'.  Each
+    stage refines all of its brackets together.
     """
     lambda_max = float(lambda_max)
     if not (np.isfinite(lambda_max) and lambda_max > 0.0):
@@ -294,37 +270,28 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         return ()  # constant RFV: no isolated stationary points
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     with np.errstate(over="ignore"):
-        d = np.asarray(rfv_derivative(family, grid))
+        d = _rfv_derivative(family, grid)
         sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
-    points = []
-    for i in sign_change:
-        root = _bisect_root(family, grid[i], grid[i + 1], d[i], d[i + 1])
-        points.append(_classify_root(family, root))
-    # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
-    a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
-    scale = 1.0 + np.abs(np.asarray(rfv_at(family, grid)))
-    with np.errstate(over="ignore"):
-        dips = ((a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
-                & (a[i] <= 1e-6 * scale[i]) & ~np.isin(i, sign_change)
-                & ~np.isin(i - 1, sign_change))
-    for i in i[dips]:
-        g_lo = _second_derivative(family, grid[i - 1])
-        g_hi = _second_derivative(family, grid[i + 1])
-        if g_lo * g_hi >= 0.0:
-            continue
-        lo, hi = grid[i - 1], grid[i + 1]
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            g_mid = _second_derivative(family, mid)
-            if g_lo * g_mid <= 0.0:
-                hi, g_hi = mid, g_mid
-            else:
-                lo, g_lo = mid, g_mid
-        root = 0.5 * (lo + hi)
-        if abs(rfv_derivative(family, root)) < SADDLE_TOL * (1.0 + abs(rfv_at(family, root))):
-            points.append(StationaryPoint(lam=root, kind="saddle"))
-    points.sort(key=lambda sp: sp.lam)
-    return tuple(points)
+        roots = _bisect(lambda x: _rfv_derivative(family, x),
+                        grid[sign_change], grid[sign_change + 1], d[sign_change])
+        d2 = _second_derivative(family, roots)
+        kinds = np.where(np.abs(d2) < SADDLE_TOL, "saddle", np.where(d2 > 0.0, "min", "max"))
+        # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
+        a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
+        scale = 1.0 + np.abs(rfv_at(family, grid))
+        dips = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
+                 & (a[i] <= 1e-6 * scale[i]) & ~np.isin(i, sign_change)
+                 & ~np.isin(i - 1, sign_change)]
+        g_lo = _second_derivative(family, grid[dips - 1])
+        g_hi = _second_derivative(family, grid[dips + 1])
+        folds = g_lo * g_hi < 0.0
+        saddles = _bisect(lambda x: _second_derivative(family, x),
+                          grid[dips - 1][folds], grid[dips + 1][folds], g_lo[folds])
+        saddles = saddles[np.abs(_rfv_derivative(family, saddles))
+                          < SADDLE_TOL * (1.0 + np.abs(_triple_rfv(family, saddles)))]
+    points = [StationaryPoint(lam, kind) for lam, kind in zip(roots.tolist(), kinds.tolist())]
+    points += [StationaryPoint(lam, "saddle") for lam in saddles.tolist()]
+    return tuple(sorted(points, key=lambda p: p.lam))
 
 
 def classify_tail(family: FrailtyFamily) -> TailClass:

@@ -48,6 +48,13 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _inverse_cdf(table, u: np.ndarray) -> np.ndarray:
+    """The atom of the support ``table`` that each uniform in ``u`` draws by
+    inverse CDF, as an index; the truncated tail mass falls on the last atom."""
+    codes = np.searchsorted(np.cumsum(table.pmf), u, side="right")
+    return np.minimum(codes, table.z.shape[0] - 1).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings; identical configs give bit-identical samples."""
@@ -135,12 +142,10 @@ def _check_time_vector(hazards, t) -> np.ndarray:
 def simulate(config: SimConfig) -> SampleSet:
     """Draw ``n_clusters`` clusters under the shared-frailty model."""
     table = support_table(config.family)
-    cdf = np.cumsum(table.pmf)
     rng = _philox(config.seed, _STREAM_MAIN)
     j = len(config.hazards)
     u = rng.random((config.n_clusters, j + 1))
-    codes = np.searchsorted(cdf, u[:, 0], side="right")
-    codes = np.minimum(codes, table.z.shape[0] - 1).astype(np.int64)
+    codes = _inverse_cdf(table, u[:, 0])
     z = table.z[codes]
     times = np.empty((config.n_clusters, j))
     cured = z == 0.0
@@ -226,42 +231,29 @@ def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
         ta = samples.times[:, j]
         tb = samples.times[:, j_prime]
     cells = _kernels.crf_cell_counts(ta, tb, t[j], t[j_prime], window)
-
-    def ratio(c):
-        m = c.reshape(3, 3)
-        a_num = m[1, 1]
-        r_num = m[1, 1] + m[2, 1]
-        a_den = m[1, 1] + m[1, 2]
-        r_den = m[1, 1] + m[1, 2] + m[2, 1] + m[2, 2]
-        if r_den < MIN_AT_RISK:
-            raise TooFewAtRisk(
-                f"only {int(r_den)} cluster pairs at risk, need {MIN_AT_RISK}"
-            )
-        if r_num == 0 or a_den == 0:
-            raise EmptyWindow(
-                f"no events inside a window of {window} after t={t}"
-            )
-        if r_num < MIN_AT_RISK:
-            raise TooFewAtRisk(
-                f"only {int(r_num)} clusters in the conditional risk set, "
-                f"need {MIN_AT_RISK}"
-            )
-        return (a_num / r_num) / (a_den / r_den), int(r_den)
-
-    est, r_den = ratio(cells.astype(np.float64))
     total = int(cells.sum())
     rng = _philox(samples.config.seed, _STREAM_CRF_BOOT)
-    draws = rng.multinomial(total, cells / total, size=BOOTSTRAP_RESAMPLES)
-    boot = []
-    for row in draws:
-        try:
-            boot.append(ratio(row.astype(np.float64))[0])
-        except (TooFewAtRisk, EmptyWindow):
-            continue
-    if len(boot) < BOOTSTRAP_RESAMPLES // 2:
+    # row 0 is the sample, rows 1.. its resamples; an empty table resamples
+    # to empty tables, which row 0's first check rejects
+    draws = rng.multinomial(total, cells / max(total, 1), size=BOOTSTRAP_RESAMPLES)
+    m = np.vstack([cells, draws]).astype(np.float64).reshape(-1, 3, 3)
+    a_num = m[:, 1, 1]
+    r_num = a_num + m[:, 2, 1]
+    a_den = a_num + m[:, 1, 2]
+    r_den = a_den + m[:, 2, 1] + m[:, 2, 2]
+    if r_den[0] < MIN_AT_RISK:
+        raise TooFewAtRisk(f"only {int(r_den[0])} cluster pairs at risk, need {MIN_AT_RISK}")
+    if r_num[0] == 0 or a_den[0] == 0:
+        raise EmptyWindow(f"no events inside a window of {window} after t={t}")
+    if r_num[0] < MIN_AT_RISK:
+        raise TooFewAtRisk(f"only {int(r_num[0])} clusters in the conditional risk set, "
+                           f"need {MIN_AT_RISK}")
+    ok = (r_den >= MIN_AT_RISK) & (r_num >= MIN_AT_RISK) & (a_den > 0)
+    if ok[1:].sum() < BOOTSTRAP_RESAMPLES // 2:
         raise EmptyWindow("bootstrap resamples kept losing the window events")
-    se = float(np.std(np.asarray(boot), ddof=1))
-    return EmpiricalEstimate(float(est), se, r_den)
+    ratio = (a_num[ok] / r_num[ok]) / (a_den[ok] / r_den[ok])
+    se = float(np.std(ratio[1:], ddof=1))
+    return EmpiricalEstimate(float(ratio[0]), se, int(r_den[0]))
 
 
 # ---------------------------------------------------------------------------

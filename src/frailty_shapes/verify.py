@@ -140,8 +140,8 @@ def _crit_closed_form_vs_laplace() -> list:
     """Closed-form RFV against the Laplace-ratio route, all families."""
     checks = []
     for fam in _all_families():
-        ratio = np.asarray(rfv_at(fam, _GRID))
-        closed = np.asarray(rfv_closed_at(fam, _GRID))
+        ratio = rfv_at(fam, _GRID)
+        closed = rfv_closed_at(fam, _GRID)
         rel = float(np.max(np.abs(ratio - closed) / np.abs(closed)))
         checks.append(_below(f"rel err {_describe(fam)}", rel, 1e-9))
     return checks
@@ -151,7 +151,7 @@ def _crit_oracle_equivalence() -> list:
     """Laplace-ratio RFV against the brute-force survivor oracle."""
     checks = []
     for fam in _pmf_families():
-        ratio = np.asarray(rfv_at(fam, _GRID))
+        ratio = rfv_at(fam, _GRID)
         brute = oracle.rfv(fam, _GRID)
         rel = float(np.max(np.abs(ratio - brute) / np.abs(brute)))
         checks.append(_below(f"rel err {_describe(fam)}", rel, 1e-8))
@@ -264,11 +264,11 @@ def _crit_mc_selection() -> list:
                                      n_clusters=n, seed=seed))
         for t in times:
             est = empirical_rfv(samples, [t])
-            target = float(rfv_at(fam, t))
+            target = rfv_at(fam, t)
             checks.append(_close(f"rfv {_describe(fam)} t={t}", est.estimate,
                                  target, 3.0 * est.std_error))
             surv = population_survival(samples, [t])
-            l0 = float(laplace(fam, t).l0)
+            l0 = laplace(fam, t).l0
             se = math.sqrt(l0 * (1.0 - l0) / n)
             checks.append(_close(f"survival {_describe(fam)} t={t}",
                                  surv.estimate, l0, 3.0 * se))
@@ -285,7 +285,7 @@ def _crit_crf_identity() -> list:
                                  n_clusters=10**6, seed=730006))
     t = (math.log(2.0) / 2.0, math.log(2.0) / 2.0)
     lam = math.log(2.0)
-    target = 1.0 + float(rfv_at(fam, lam))
+    target = 1.0 + rfv_at(fam, lam)
 
     # Shrink the window until halving it moves the estimate by < 0.5 SE.
     window = 0.05
@@ -301,8 +301,7 @@ def _crit_crf_identity() -> list:
             break
     # First-order window bias: the cross-ratio drifts by at most its
     # derivative over the window, on both time axes.
-    slope = max(abs(float(rfv_at(fam, lam))),
-                abs(float(rfv_at(fam, lam + 2.0 * window))))
+    slope = max(abs(rfv_at(fam, lam)), abs(rfv_at(fam, lam + 2.0 * window)))
     bias_bound = 2.0 * window * slope
     tol = 3.0 * est.std_error + bias_bound
     checks.append(_close(f"crf at generic time ln2 (window={window:g})",
@@ -357,7 +356,7 @@ def _crit_correlated_model() -> list:
                                    w_dist=GammaFrailty(mean=1.0, variance=0.5),
                                    hazards=hazards)
     dgrid = np.linspace(0.0, 3.0, 61)
-    crfs = np.asarray(model.crf_of_d(dgrid))
+    crfs = model.crf_of_d(dgrid)
     checks.append(_below("gamma mixer: max |crf - 1.5| over d",
                          float(np.max(np.abs(crfs - 1.5))), 1e-12))
     limit = model.crf_of_d(sum(model.etas))
@@ -394,7 +393,7 @@ def _crit_timevarying_shift() -> list:
 
     sine = TimeVaryingShift(inner=inner, shift_fn=ExpHalfSine(eta=eta))
     grid = np.arange(5.0, 40.0 + 1e-9, 0.01)
-    vals = np.asarray(timevarying_shift_rfv(sine, grid))
+    vals = timevarying_shift_rfv(sine, grid)
     spread = float(np.max(vals) - np.min(vals))
     checks.append(_above("oscillating shift: spread on [5, 40]", spread, 0.05 / eta))
     checks.append(_is("oscillating shift stays inside (0, 1/eta)",

@@ -32,6 +32,8 @@ def test_criterion(name):
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{name}: {verdict} ({result.seconds:.2f}s, "
           f"{len(result.checks)} checks)")
+    # details are plain text: no numpy scalar reprs such as np.float64(...)
+    assert not [c.detail for c in result.checks if "np." in c.detail]
     failing = [c for c in result.checks if not c.passed]
     detail = "\n".join(f"  {c.label}: {c.detail}" for c in failing)
     assert result.passed, f"{name} failed {len(failing)} check(s):\n{detail}"

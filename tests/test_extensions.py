@@ -257,6 +257,15 @@ class TestCouplingTable:
                 cutpoints=(0.5,), segment_families=(fam, fam), hazards=(EXP1,),
                 joint_coupling=CouplingTable(conditional=np.eye(3)))
 
+    @pytest.mark.parametrize("coupling", ["identical", "table"])
+    def test_set2_far_tail_where_the_squared_mean_underflows(self, coupling):
+        fam = fs.KPOINT_EXAMPLES["set2"]
+        model = PiecewiseFrailtyModel(
+            cutpoints=(0.5,), segment_families=(fam, fam), hazards=(EXP1,),
+            joint_coupling=(coupling if coupling == "identical"
+                            else CouplingTable(conditional=np.eye(8))))
+        assert_allclose(piecewise_rfv(model, (800.5,)), fs.rfv_at(fam, 800.5), rtol=1e-12)
+
     def test_degenerate_conditional_raises(self):
         # every final value pairs only with an early value whose survival
         # weight underflows to zero: no conditional mass is left
@@ -268,6 +277,8 @@ class TestCouplingTable:
                                       hazards=(EXP1,), joint_coupling=table)
         with pytest.raises(fs.DegenerateConditional):
             piecewise_rfv(model, (31.0,))
+        with pytest.raises(fs.DegenerateConditional):
+            piecewise_survivor_pmf(model, (31.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +441,7 @@ def test_grid_matches_pointwise(name):
 @pytest.mark.parametrize("name", sorted(GRID_EVALUATORS))
 def test_scalar_in_scalar_out(name):
     grid, evaluate = GRID_EVALUATORS[name]
-    assert np.ndim(evaluate(grid[1])) == 0
+    assert type(evaluate(grid[1])) is float
 
 
 def test_shift_paths_take_arrays():

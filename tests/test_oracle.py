@@ -93,3 +93,20 @@ def test_deep_tail_retry_keeps_accuracy():
     assert g.support[0] == 2.0
     assert_allclose(g.probs.sum(), 1.0, rtol=1e-12)
     assert g.probs[0] > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("lam", [800.0, 1000.0])
+def test_set2_far_tail_where_the_squared_mean_underflows(lam):
+    # the survivor mean is ~1e-175 at lam = 800, so its square is not
+    # representable; the RFV itself is 3.9e174
+    fam = fs.KPOINT_EXAMPLES["set2"]
+    got = rfv(fam, lam)
+    assert_allclose(got, fs.rfv_closed_at(fam, lam), rtol=1e-12)
+    assert_allclose(got, fs.rfv_at(fam, lam), rtol=1e-12)
+
+
+def test_survivor_pmf_drops_atoms_of_conditional_probability_zero():
+    # the weights of the atoms 0.99 and 2.61 underflow at lam = 800
+    g = survivor_pmf(fs.KPOINT_EXAMPLES["set2"], 800.0)
+    assert g.support.tolist() == [0.0, 0.505, 0.555, 0.6025, 0.6275, 0.63]
+    assert np.all(g.probs > 0.0)

@@ -211,7 +211,23 @@ def test_shifted_derivative_where_the_cube_of_c_leaves_range(fam):
     assert_allclose(got, want, rtol=1e-13)
 
 
+@pytest.mark.parametrize("fam", [fs.Poisson(eta=2.0), fs.NegBin(pi=0.5, nu=2.0)],
+                         ids=["poisson", "negbin"])
+def test_derivative_raises_where_it_leaves_range(fam):
+    # RFV' = RFV = e^lam / c here, and e^800 is not representable
+    with pytest.raises(fs.NumericalOverflow,
+                       match=r"overflowed at 2 of 3 points, first lam=800\.0$"):
+        rfv_derivative(fam, [1.0, 800.0, 900.0])
+
+
 class TestStationaryPoints:
+    def test_bisection_stops_where_floats_are_coarser_than_the_tolerance(self):
+        # the survivors' odds 0.99 : 0.01 even out near lam = ln(99) / 1e-5,
+        # where adjacent floats lie 5.8e-11 apart, wider than BISECT_TOL
+        pts = stationary_points(fs.KPoint(support=(1.0, 1.00001), probs=(0.01, 0.99)), 1e6)
+        assert len(pts) == 1
+        assert abs(pts[0].lam - math.log(99.0) / 1e-5) < 1e3
+
     def test_set1_long_curve_has_three_points(self):
         # the flat tail of set1 has no stationary point: RFV' < 0 there
         shape = curve(KPOINT_EXAMPLES["set1"], np.linspace(0.0, 1500.0, 3001))
@@ -262,6 +278,18 @@ class TestStationaryPoints:
         above = stationary_points(fs.ZeroModifiedPoisson(eta=eta, phi=phi_star + 0.01), 8.0)
         assert [p.kind for p in below] == ["max", "min"]
         assert above == ()
+
+    @pytest.mark.parametrize("nudge", [-1e-9, 0.0, 1e-9])
+    def test_fold_saddle_is_one_tangential_root_at_log_eta(self, nudge):
+        # At the fold the two extrema merge into a saddle at lam = ln(eta),
+        # where RFV' touches zero without a sign change: only the search for
+        # dips of |RFV'| refined on RFV'' can find it.
+        eta = 3.0
+        phi_star = (3.0 - np.e) / (3.0 - np.exp(1.0 - eta))
+        pts = stationary_points(fs.ZeroModifiedPoisson(eta=eta, phi=phi_star + nudge), 8.0)
+        assert [p.kind for p in pts] == ["saddle"]
+        assert abs(pts[0].lam - math.log(eta)) < 1e-8
+        assert type(pts[0].lam) is float
 
 
 class TestZmpDerivativeTerms:
@@ -472,6 +500,29 @@ GENERIC_TIME_EVALUATORS = {
     "crf_of_d": lambda lam: _CORRELATED.crf_of_d(lam),
     "timevarying_shift_rfv": lambda lam: fs.timevarying_shift_rfv(_DRIFTING, lam),
 }
+
+
+def _piecewise_set2(coupling):
+    fam = KPOINT_EXAMPLES["set2"]
+    model = fs.PiecewiseFrailtyModel(cutpoints=(0.5,), segment_families=(fam, fam),
+                                     hazards=(fs.ExponentialRate(rate=1.0),),
+                                     joint_coupling=coupling)
+    return lambda t: fs.piecewise_rfv(model, (t,))
+
+
+#: Every evaluator that maps one point to one number.
+SCALAR_EVALUATORS = {
+    **{name: GENERIC_TIME_EVALUATORS[name] for name in (
+        "rfv_at", "crf_at", "rfv_closed_at", "rfv_derivative", "oracle_rfv",
+        "survivor_moment", "crf_of_d", "timevarying_shift_rfv")},
+    "piecewise_rfv-identical": _piecewise_set2("identical"),
+    "piecewise_rfv-table": _piecewise_set2(fs.CouplingTable(conditional=np.eye(8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_EVALUATORS))
+def test_scalar_in_gives_a_python_float(name):
+    assert type(SCALAR_EVALUATORS[name](1.5)) is float
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, []],
