@@ -14,6 +14,11 @@ def active_backend() -> str:
     return "numpy"
 
 
+#: Bytes of survivor weights formed at once (about 0.5 MB, so a block stays
+#: in L2); the oracle's working memory is this block, whatever the grid length.
+_BLOCK_BYTES = 1 << 19
+
+
 def survivor_moment_grid(z, g, lam):
     """Conditional weights and first two moments of Z - z_min given survival.
 
@@ -28,15 +33,27 @@ def survivor_moment_grid(z, g, lam):
     -------
     norm, m1, m2, first : 1-d arrays
         Total conditional weight, recentred first and second moments, and the
-        conditional probability of the smallest support point.
+        conditional probability of the smallest support point; ``nan`` where
+        ``norm`` is 0, which the caller rejects.
+
+    The weights ``g * exp(-lam (z - z_min))`` are formed one block of rows at
+    a time.  Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover
+    group of rows in another order, so only such blocks give every row the
+    same bits as one product over the whole grid.
     """
     dz = z - z[0]
-    w = g * np.exp(-np.outer(lam, dz))
-    norm = w.sum(axis=1)
-    m1 = w @ dz / norm
-    m2 = w @ (dz * dz) / norm
-    first = g[..., 0] / norm
-    return norm, m1, m2, first
+    dz2 = dz * dz
+    n = lam.shape[0]
+    rows = max(64, _BLOCK_BYTES // (8 * dz.size) // 64 * 64)
+    norm, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        w = (g[blk] if g.ndim == 2 else g) * np.exp(np.multiply.outer(-lam[blk], dz))
+        norm[blk] = w.sum(axis=1)
+        s1[blk] = w @ dz
+        s2[blk] = w @ dz2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return norm, s1 / norm, s2 / norm, g[..., 0] / norm
 
 
 def kpoint_rfv_grid(z, pr, lam):

@@ -91,7 +91,7 @@ class CorrelatedPoissonModel:
         t = _check_time_vector(self.hazards, t)
         total = 0.0
         for eta, hazard, tj in zip(self.etas, self.hazards, t):
-            total += eta * -math.expm1(-float(hazard.cumulative(float(tj))))
+            total += eta * -math.expm1(-hazard.cumulative(float(tj)))
         return total
 
     def joint_survival(self, t) -> float:
@@ -282,8 +282,7 @@ def piecewise_rfv(model: PiecewiseFrailtyModel, t):
         return oracle_rfv(model.segment_families[-1], _named_coupling_load(model, loads))
     table, prior = _coupled_weights(model, loads)
     final = np.asarray(loads[..., -1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(final))
+    _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(final))
     return _rfv_from_sums("the coupled final segment", final, table.z[0], m1, m2)
 
 

@@ -1,9 +1,10 @@
 """Baseline hazard rates: exponential, Weibull, piecewise constant.
 
 Hazards are value objects exposing the cumulative hazard ``cumulative(t)``,
-its inverse ``inverse_cumulative(u)``, and JSON (de)serialization.  The
-generic-time clock used throughout the package is the sum of target-specific
-cumulative hazards, :func:`generic_time`.
+its inverse ``inverse_cumulative(u)`` (each a Python float for a scalar and
+an array for an array), and JSON (de)serialization.  The generic-time clock
+used throughout the package is the sum of target-specific cumulative hazards,
+:func:`generic_time`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ def _as_float_array(x):
     return np.asarray(x, dtype=np.float64)
 
 
+def _float_if_scalar(x):
+    """``x`` as a Python float when 0-d, else the array unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class ExponentialRate:
     """Constant hazard ``rate``; cumulative hazard rate * t."""
@@ -34,10 +40,10 @@ class ExponentialRate:
                 f"exponential rate must be positive and finite, got {self.rate}")
 
     def cumulative(self, t):
-        return self.rate * _as_float_array(t)
+        return _float_if_scalar(self.rate * _as_float_array(t))
 
     def inverse_cumulative(self, u):
-        return _as_float_array(u) / self.rate
+        return _float_if_scalar(_as_float_array(u) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,10 @@ class Weibull:
                 f"Weibull scale must be positive and finite, got {self.scale}")
 
     def cumulative(self, t):
-        return (_as_float_array(t) / self.scale) ** self.shape
+        return _float_if_scalar((_as_float_array(t) / self.scale) ** self.shape)
 
     def inverse_cumulative(self, u):
-        return self.scale * _as_float_array(u) ** (1.0 / self.shape)
+        return _float_if_scalar(self.scale * _as_float_array(u) ** (1.0 / self.shape))
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,8 @@ class PiecewiseConstant:
 
     def cumulative(self, t):
         edges, cums, rates = self._tables()
-        return _kernels.piecewise_cumulative(edges, cums, rates, _as_float_array(t))
+        return _float_if_scalar(
+            _kernels.piecewise_cumulative(edges, cums, rates, _as_float_array(t)))
 
     def inverse_cumulative(self, u):
         edges, cums, rates = self._tables()
@@ -109,7 +116,7 @@ class PiecewiseConstant:
         finite = np.isfinite(u)
         out = np.full(u.shape, np.inf)
         out[finite] = _kernels.piecewise_inverse(edges, cums, rates, u[finite])
-        return out[()]
+        return _float_if_scalar(out)
 
 
 BaselineHazard = Union[ExponentialRate, Weibull, PiecewiseConstant]

@@ -43,6 +43,13 @@ def test_infinite_target_never_fires(hz):
     assert np.isposinf(hz.inverse_cumulative(np.inf))
 
 
+@pytest.mark.parametrize("hz", HAZARDS, ids=lambda h: type(h).__name__)
+def test_scalar_input_gives_a_python_float(hz):
+    assert type(hz.cumulative(1.0)) is float
+    assert type(hz.inverse_cumulative(1.0)) is float
+    assert type(hz.inverse_cumulative(np.inf)) is float
+
+
 def test_exponential_closed_form():
     hz = ExponentialRate(rate=2.0)
     assert_allclose(hz.cumulative(1.5), 3.0, rtol=1e-15)

@@ -6,11 +6,15 @@ of any Laplace-transform algebra.  These tests freeze hand-computed values
 and the structural properties the rest of the suite leans on.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
+from frailty_shapes import _kernels
+from frailty_shapes.families import support_table
 from frailty_shapes.oracle import (
     rfv,
     smallest_point_prob_grid,
@@ -110,3 +114,57 @@ def test_survivor_pmf_drops_atoms_of_conditional_probability_zero():
     g = survivor_pmf(fs.KPOINT_EXAMPLES["set2"], 800.0)
     assert g.support.tolist() == [0.0, 0.505, 0.555, 0.6025, 0.6275, 0.63]
     assert np.all(g.probs > 0.0)
+
+
+def test_degenerate_grid_raises_without_warnings():
+    # every weight pmf * exp(-(z - z_0) lam) underflows to 0 on the table of
+    # Poisson(5000); the 0/0 sums must reach the caller as the exception
+    with pytest.raises(fs.NumericalOverflow, match="degenerate at 1 of 1 points"):
+        rfv(fs.Poisson(eta=5000.0), 1.0)
+
+
+def _one_shot_sums(z, g, lam):
+    """The survivor sums from the whole (n, K) weight matrix at once."""
+    dz = z - z[0]
+    w = g * np.exp(-np.outer(lam, dz))
+    norm = w.sum(axis=1)
+    return norm, w @ dz / norm, w @ (dz * dz) / norm, g[..., 0] / norm
+
+
+BLOCK_FAMILIES = [fs.Poisson(eta=200.0), fs.NegBin(pi=0.3, nu=4.0)]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 99_999, 100_000])
+@pytest.mark.parametrize("fam", BLOCK_FAMILIES, ids=str)
+def test_blocked_sums_equal_one_shot_sums_bitwise(fam, n):
+    table = support_table(fam)
+    lam = np.linspace(0.0, 5.0, n)
+    got = _kernels.survivor_moment_grid(table.z, table.pmf, lam)
+    for blocked, whole in zip(got, _one_shot_sums(table.z, table.pmf, lam)):
+        assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("fam", BLOCK_FAMILIES, ids=str)
+def test_blocked_sums_with_one_prior_row_per_lam(fam):
+    # the coupled piecewise model weighs the final table by the survival of
+    # the earlier segments, one prior row per grid point
+    table = support_table(fam)
+    lam = np.linspace(0.0, 5.0, 4097)
+    prior = table.pmf * np.exp(-np.multiply.outer(lam[::-1] / 7.0, table.z))
+    got = _kernels.survivor_moment_grid(table.z, prior, lam)
+    for blocked, whole in zip(got, _one_shot_sums(table.z, prior, lam)):
+        assert np.array_equal(blocked, whole)
+
+
+def test_oracle_working_memory_is_bounded():
+    # numpy reports its array allocations to tracemalloc; the whole weight
+    # matrix of this grid would be 254 MB
+    lams = np.linspace(0.0, 5.0, 100_000)
+    rfv(fs.Poisson(eta=200.0), 0.5)  # build the support table outside the trace
+    tracemalloc.start()
+    try:
+        rfv(fs.Poisson(eta=200.0), lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
