@@ -5,6 +5,11 @@ with ``%d`` and floats with ``%.17g`` (enough digits to round-trip float64;
 ``inf``/``nan`` print as such), rows end in LF, and JSON uses a two-space
 indent plus a trailing newline.  Nothing time- or host-dependent enters a
 file, so reruns are byte-identical.
+
+Tables are written one block of ``_BLOCK_ROWS`` rows at a time, so the text
+held in memory stays small whatever the table length; ``simulate`` draws its
+clusters in chunks of the same size and hands each chunk straight to the
+writer.
 """
 
 from __future__ import annotations
@@ -13,23 +18,30 @@ import json
 
 import numpy as np
 
-#: Rows formatted per write; bounds the text held in memory for large tables.
-CHUNK_ROWS = 65_536
+#: Rows per block, both in the CSV writer and in the simulation's draw
+#: chunks: large enough to amortise the per-block numpy calls, small enough
+#: that a block's arrays and text stay well under a megabyte.
+_BLOCK_ROWS = 4096
 
 
-def write_csv(path, header, columns) -> None:
-    """Write ``header`` (column names) and equal-length ``columns`` as CSV.
+def row_blocks(columns):
+    """Yield equal-length ``columns`` in blocks of ``_BLOCK_ROWS`` rows."""
+    cols = [np.asarray(c) for c in columns]
+    for start in range(0, cols[0].shape[0], _BLOCK_ROWS):
+        yield [c[start:start + _BLOCK_ROWS] for c in cols]
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write ``header`` (column names) and then each block of ``blocks``, a
+    sequence of equal-length columns, as CSV rows.
 
     Integer and boolean columns print with ``%d``, all others with ``%.17g``.
     """
-    cols = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\n"
-    n = cols[0].shape[0]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, CHUNK_ROWS):
-            chunk = zip(*(c[start:start + CHUNK_ROWS].tolist() for c in cols))
-            fh.write("".join(map(row.__mod__, chunk)))
+        for cols in blocks:
+            row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\n"
+            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))
 
 
 def write_json(path, payload) -> None:

@@ -24,8 +24,11 @@ def survivor_moment_grid(z, g, lam):
 
     Parameters
     ----------
-    z, g : arrays
-        Support (ascending) and probabilities, or one row of weights per lam.
+    z : 1-d array
+        Support, ascending.
+    g : array or callable
+        Probabilities, or one row of weights per lam, or a function that
+        takes a slice of rows and returns the weight rows of that slice.
     lam : 1-d array
         Generic-time points.
 
@@ -37,23 +40,26 @@ def survivor_moment_grid(z, g, lam):
         ``norm`` is 0, which the caller rejects.
 
     The weights ``g * exp(-lam (z - z_min))`` are formed one block of rows at
-    a time.  Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover
-    group of rows in another order, so only such blocks give every row the
-    same bits as one product over the whole grid.
+    a time, and a callable ``g`` builds its rows one block at a time too.
+    Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover group of
+    rows in another order, so only such blocks give every row the same bits
+    as one product over the whole grid.
     """
     dz = z - z[0]
     dz2 = dz * dz
     n = lam.shape[0]
     rows = max(64, _BLOCK_BYTES // (8 * dz.size) // 64 * 64)
-    norm, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
+    norm, s1, s2, g0 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for start in range(0, n, rows):
         blk = slice(start, start + rows)
-        w = (g[blk] if g.ndim == 2 else g) * np.exp(np.multiply.outer(-lam[blk], dz))
+        g_blk = g(blk) if callable(g) else g[blk] if g.ndim == 2 else g
+        w = g_blk * np.exp(np.multiply.outer(-lam[blk], dz))
         norm[blk] = w.sum(axis=1)
         s1[blk] = w @ dz
         s2[blk] = w @ dz2
+        g0[blk] = g_blk[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return norm, s1 / norm, s2 / norm, g[..., 0] / norm
+        return norm, s1 / norm, s2 / norm, g0 / norm
 
 
 def kpoint_rfv_grid(z, pr, lam):

@@ -27,13 +27,13 @@ import sys
 
 import numpy as np
 
-from ._io import sidecar_path, write_csv, write_json
+from ._io import row_blocks, sidecar_path, write_csv, write_json
 from .errors import FrailtyModelError, ParameterOutOfRange
 from .families import family_from_dict, family_to_dict
 from .hazards import hazard_from_dict, hazard_to_dict
 from . import oracle as oracle_mod
 from .shapes import curve, rfv_at, write_curve, KPOINT_EXAMPLES
-from .simulate import SimConfig, samples_to_csv, simulate, simulation_summary
+from .simulate import SimConfig, _write_simulation
 from .extensions import (
     CouplingTable,
     CorrelatedPoissonModel,
@@ -110,7 +110,7 @@ def _cmd_oracle(args) -> int:
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
     write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
-              (grid, ratio, brute, rel))
+              row_blocks((grid, ratio, brute, rel)))
     write_json(sidecar_path(out), {
         "family": family_to_dict(family),
         "max_rel_diff": float(np.max(rel)),
@@ -132,11 +132,9 @@ def _sim_config_from(cfg, seed_override) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     sim_cfg = _sim_config_from(cfg, args.seed)
-    samples = simulate(sim_cfg)
     out = _out_path(cfg, args)
-    samples_to_csv(samples, out)
     write_json(sidecar_path(out),
-               simulation_summary(samples, cfg.get("summary_times")))
+               _write_simulation(sim_cfg, out, cfg.get("summary_times")))
     return 0
 
 
@@ -158,7 +156,7 @@ def _cmd_correlated(args) -> int:
     out = _out_path(cfg, args)
     # The correlated model's cross-ratio is no longer 1 + RFV of any single
     # frailty, so the CSV deliberately omits an rfv column.
-    write_csv(out, ("d", "crf"), (grid, crf))
+    write_csv(out, ("d", "crf"), row_blocks((grid, crf)))
     pairs = [
         {"j": j, "j_prime": k,
          "correlation": model.frailty_correlation(j, k)}
@@ -204,7 +202,7 @@ def _cmd_piecewise(args) -> int:
     # one row per grid time, the same time for every target
     rfv = piecewise_rfv(model, np.repeat(grid[:, None], len(model.hazards), axis=1))
     out = _out_path(cfg, args)
-    write_csv(out, ("t", "rfv", "crf"), (grid, rfv, rfv + 1.0))
+    write_csv(out, ("t", "rfv", "crf"), row_blocks((grid, rfv, rfv + 1.0)))
     write_json(sidecar_path(out), {
         "segment_families": [family_to_dict(f) for f in model.segment_families],
         "cutpoints": list(model.cutpoints),
@@ -222,7 +220,7 @@ def _cmd_timevarying(args) -> int:
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 201}))
     vals = timevarying_shift_rfv(model, grid)
     out = _out_path(cfg, args)
-    write_csv(out, ("lambda", "rfv", "crf"), (grid, vals, vals + 1.0))
+    write_csv(out, ("lambda", "rfv", "crf"), row_blocks((grid, vals, vals + 1.0)))
     write_json(sidecar_path(out), {
         "inner": family_to_dict(model.inner),
         "shift": shift_to_dict(model.shift_fn),

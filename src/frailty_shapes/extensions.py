@@ -250,17 +250,15 @@ def _named_coupling_load(model: PiecewiseFrailtyModel, loads: np.ndarray):
     return loads[..., -1] if model.joint_coupling == "independent" else loads.sum(axis=-1)
 
 
-def _coupled_weights(model: PiecewiseFrailtyModel, loads: np.ndarray):
-    """The final segment's support table and, one row per row of ``loads``, the
-    weights P(Z_Q = z_k) * P(survive the earlier segments | Z_Q = z_k)."""
-    tables = [support_table(f) for f in model.segment_families]
-    rows = np.atleast_2d(loads)
+def _coupled_prior(model: PiecewiseFrailtyModel, loads: np.ndarray) -> np.ndarray:
+    """One row per row of the ``(n, Q)`` ``loads``: the final segment's
+    P(Z_Q = z_k) * P(survive the earlier segments | Z_Q = z_k)."""
     carry = model.joint_coupling.conditional[None]  # einsum broadcasts it over rows
-    for q, table in enumerate(tables[:-1]):
+    for q, family in enumerate(model.segment_families[:-1]):
         # sum segment q's axis against its survival factor exp(-z load_q)
-        survive = np.exp(-np.multiply.outer(rows[:, q], table.z))
+        survive = np.exp(-np.multiply.outer(loads[:, q], support_table(family).z))
         carry = np.einsum("nk,nk...->n...", survive, carry)
-    return tables[-1], carry * tables[-1].pmf
+    return carry * support_table(model.segment_families[-1]).pmf
 
 
 def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
@@ -269,8 +267,8 @@ def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
     if isinstance(model.joint_coupling, str):
         load = float(_named_coupling_load(model, loads))
         return survivor_pmf(model.segment_families[-1], load)
-    table, prior = _coupled_weights(model, loads)
-    unnorm = prior[0] * np.exp(-(table.z - table.z[0]) * loads[-1])
+    table = support_table(model.segment_families[-1])
+    unnorm = _coupled_prior(model, loads[None])[0] * np.exp(-(table.z - table.z[0]) * loads[-1])
     return _normalised(float(loads.sum()), table.z, unnorm, table.tail_mass)
 
 
@@ -280,9 +278,12 @@ def piecewise_rfv(model: PiecewiseFrailtyModel, t):
     loads = model.segment_loads(t)
     if isinstance(model.joint_coupling, str):
         return oracle_rfv(model.segment_families[-1], _named_coupling_load(model, loads))
-    table, prior = _coupled_weights(model, loads)
+    table = support_table(model.segment_families[-1])
     final = np.asarray(loads[..., -1])
-    _, m1, m2, _ = _kernels.survivor_moment_grid(table.z, prior, np.ravel(final))
+    rows = np.atleast_2d(loads)
+    # the kernel builds the prior one block of rows at a time
+    _, m1, m2, _ = _kernels.survivor_moment_grid(
+        table.z, lambda blk: _coupled_prior(model, rows[blk]), np.ravel(final))
     return _rfv_from_sums("the coupled final segment", final, table.z[0], m1, m2)
 
 

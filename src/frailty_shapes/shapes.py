@@ -51,7 +51,10 @@ SCAN_INTERVALS = 4096
 #: Bisection stops once the bracket is narrower than this.
 BISECT_TOL = 1e-12
 
-#: |RFV''| below this at a root classifies it as a saddle.
+#: A root where |RFV''| lambda^2 falls below this fraction of the RFV is a
+#: saddle.  The test is relative in both directions: an RFV of any size, and
+#: a time axis in any unit (RFV'' lambda^2 keeps the RFV's unit), classify
+#: alike.
 SADDLE_TOL = 1e-8
 
 
@@ -275,7 +278,8 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         roots = _bisect(lambda x: _rfv_derivative(family, x),
                         grid[sign_change], grid[sign_change + 1], d[sign_change])
         d2 = _second_derivative(family, roots)
-        kinds = np.where(np.abs(d2) < SADDLE_TOL, "saddle", np.where(d2 > 0.0, "min", "max"))
+        flat = np.abs(d2) * roots * roots < SADDLE_TOL * np.abs(_triple_rfv(family, roots))
+        kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
         # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
         a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
         scale = 1.0 + np.abs(rfv_at(family, grid))
@@ -334,7 +338,8 @@ def curve(family: FrailtyFamily, grid) -> ShapeCurve:
 
 def curve_to_csv(shape: ShapeCurve, path) -> None:
     """Write ``lambda,rfv,crf`` rows (17 significant digits, LF endings)."""
-    _io.write_csv(path, ("lambda", "rfv", "crf"), (shape.grid, shape.rfv, shape.crf))
+    _io.write_csv(path, ("lambda", "rfv", "crf"),
+                  _io.row_blocks((shape.grid, shape.rfv, shape.crf)))
 
 
 def curve_sidecar(shape: ShapeCurve) -> dict:

@@ -7,10 +7,17 @@ recover the relative frailty variance and the cross-ratio from the simulated
 sample so the analytic curves can be verified against selection in action.
 
 Determinism: all draws come from a counter-based Philox stream keyed by
-``(seed, stream-id)``; cluster ``i`` consumes row ``i`` of a single uniform
-matrix of shape ``(n_clusters, J + 1)`` (column 0 selects the frailty atom,
-column ``j + 1`` drives target ``j``), so output depends only on the config,
-never on scheduling.  Bootstrap standard errors use separate stream ids.
+``(seed, stream-id)``.  Cluster ``i`` consumes ``J + 1`` uniforms (the first
+selects the frailty atom, the next ``J`` drive the targets), drawn in
+consecutive row chunks of one stream: the same bits as one
+``(n_clusters, J + 1)`` matrix, so output depends only on the config, never
+on the chunk size or on scheduling.  Bootstrap standard errors use separate
+stream ids.
+
+Memory: clusters are drawn in chunks of ``_io._BLOCK_ROWS`` rows.
+:func:`simulate` fills one preallocated array per quantity; the command
+line's writer (:func:`_write_simulation`) writes and counts each chunk as it
+is drawn, so it holds one chunk whatever ``n_clusters`` is.
 """
 
 from __future__ import annotations
@@ -124,8 +131,7 @@ class SampleSet(Sequence):
         return float(np.mean(self.z == 0.0))
 
     def n_at_risk(self, t) -> int:
-        t = _check_time_vector(self.config.hazards, t)
-        return int((self.times > t[None, :]).all(axis=1).sum())
+        return _n_alive(self.times, _check_time_vector(self.config.hazards, t))
 
 
 def _check_time_vector(hazards, t) -> np.ndarray:
@@ -139,29 +145,50 @@ def _check_time_vector(hazards, t) -> np.ndarray:
     return t
 
 
+def _chunks(config: SimConfig, table):
+    """Yield ``(start, codes, times)`` for consecutive chunks of at most
+    ``_io._BLOCK_ROWS`` clusters, ``table`` being the family's support table.
+
+    Each chunk continues the one main stream, so the chunks' uniforms are the
+    rows of the one-shot ``(n_clusters, J + 1)`` matrix, bit for bit.
+    """
+    rng = _philox(config.seed, _STREAM_MAIN)
+    j, n = len(config.hazards), config.n_clusters
+    for start in range(0, n, _io._BLOCK_ROWS):
+        u = rng.random((min(_io._BLOCK_ROWS, n - start), j + 1))
+        codes = _inverse_cdf(table, u[:, 0])
+        z = table.z[codes]
+        times = np.empty((u.shape[0], j))
+        cured = z == 0.0
+        with np.errstate(divide="ignore"):
+            for q, hazard in enumerate(config.hazards):
+                exp_draw = -np.log1p(-u[:, q + 1])
+                target = np.where(cured, np.inf, exp_draw / np.where(cured, 1.0, z))
+                times[:, q] = hazard.inverse_cumulative(target)
+        yield start, codes, times
+
+
 def simulate(config: SimConfig) -> SampleSet:
     """Draw ``n_clusters`` clusters under the shared-frailty model."""
     table = support_table(config.family)
-    rng = _philox(config.seed, _STREAM_MAIN)
-    j = len(config.hazards)
-    u = rng.random((config.n_clusters, j + 1))
-    codes = _inverse_cdf(table, u[:, 0])
-    z = table.z[codes]
-    times = np.empty((config.n_clusters, j))
-    cured = z == 0.0
-    with np.errstate(divide="ignore"):
-        for q, hazard in enumerate(config.hazards):
-            exp_draw = -np.log1p(-u[:, q + 1])
-            target = np.where(cured, np.inf, exp_draw / np.where(cured, 1.0, z))
-            times[:, q] = hazard.inverse_cumulative(target)
+    codes = np.empty(config.n_clusters, dtype=np.int64)
+    times = np.empty((config.n_clusters, len(config.hazards)))
+    for start, chunk_codes, chunk_times in _chunks(config, table):
+        codes[start:start + chunk_codes.shape[0]] = chunk_codes
+        times[start:start + chunk_codes.shape[0]] = chunk_times
     return SampleSet(config=config, support=table.z, codes=codes, times=times)
+
+
+def _n_alive(times: np.ndarray, t: np.ndarray) -> int:
+    """Rows of ``times`` with every event time past the time vector ``t``."""
+    return int((times > t[None, :]).all(axis=1).sum())
 
 
 def population_survival(samples: SampleSet, t) -> EmpiricalEstimate:
     """Empirical P(all targets event-free at t) with its binomial-proportion SE."""
     t = _check_time_vector(samples.config.hazards, t)
     n = len(samples)
-    alive = int((samples.times > t[None, :]).all(axis=1).sum())
+    alive = _n_alive(samples.times, t)
     p = alive / n
     return EmpiricalEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), alive)
 
@@ -261,6 +288,22 @@ def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
 # ---------------------------------------------------------------------------
 
 
+def _csv_header(j: int) -> list:
+    return ["cluster_id", "z"] + [f"t_{q + 1}" for q in range(j)] + ["censored"]
+
+
+def _csv_block(censor, start: int, z: np.ndarray, times: np.ndarray) -> list:
+    """The CSV columns of the clusters ``start, start + 1, ...`` with
+    frailties ``z`` and latent times ``times``, clipped at ``censor``."""
+    if censor is None:
+        observed = times
+        flags = np.zeros(z.shape[0], dtype=np.int64)
+    else:
+        observed = np.minimum(times, censor)
+        flags = (times > censor).any(axis=1).astype(np.int64)
+    return [np.arange(start, start + z.shape[0]), z, *observed.T, flags]
+
+
 def samples_to_csv(samples: SampleSet, path) -> None:
     """Write ``cluster_id,z,t_1,...,t_J,censored`` rows.
 
@@ -268,32 +311,52 @@ def samples_to_csv(samples: SampleSet, path) -> None:
     the written times are clipped there and the flag marks clusters with at
     least one clipped entry.
     """
-    j = samples.times.shape[1]
-    censor = samples.config.censor_time
-    if censor is None:
-        observed = samples.times
-        flags = np.zeros(len(samples), dtype=np.int64)
-    else:
-        observed = np.minimum(samples.times, censor)
-        flags = (samples.times > censor).any(axis=1).astype(np.int64)
-    header = ["cluster_id", "z"] + [f"t_{q + 1}" for q in range(j)] + ["censored"]
-    _io.write_csv(path, header,
-                  [np.arange(len(samples)), samples.z, *observed.T, flags])
+    rows, censor = _io._BLOCK_ROWS, samples.config.censor_time
+    _io.write_csv(path, _csv_header(samples.times.shape[1]), (
+        _csv_block(censor, s, samples.z[s:s + rows], samples.times[s:s + rows])
+        for s in range(0, len(samples), rows)))
 
 
-def simulation_summary(samples: SampleSet, summary_times=None) -> dict:
-    """JSON-ready summary: config echo, cure fraction, at-risk counts."""
-    cfg = samples.config
-    out = {
+def _summary(cfg: SimConfig, cure_fraction: float, summary_times, at_risk) -> dict:
+    """The summary payload from the cure fraction and the at-risk count at
+    each of ``summary_times``."""
+    return {
         "family": family_to_dict(cfg.family),
         "hazards": [hazard_to_dict(h) for h in cfg.hazards],
         "n_clusters": int(cfg.n_clusters),
         "seed": int(cfg.seed),
         "censor_time": cfg.censor_time,
-        "cure_fraction": samples.cure_fraction(),
-        "at_risk": [],
+        "cure_fraction": cure_fraction,
+        "at_risk": [{"t": list(np.atleast_1d(np.asarray(t, dtype=float))), "n": n}
+                    for t, n in zip(summary_times, at_risk)],
     }
-    for t in summary_times or []:
-        out["at_risk"].append({"t": list(np.atleast_1d(np.asarray(t, dtype=float))),
-                               "n": samples.n_at_risk(t)})
-    return out
+
+
+def simulation_summary(samples: SampleSet, summary_times=None) -> dict:
+    """JSON-ready summary: config echo, cure fraction, at-risk counts."""
+    summary_times = summary_times or []
+    return _summary(samples.config, samples.cure_fraction(), summary_times,
+                    [samples.n_at_risk(t) for t in summary_times])
+
+
+def _write_simulation(config: SimConfig, path, summary_times=None) -> dict:
+    """Draw ``config``'s clusters chunk by chunk, write them to ``path`` and
+    return their summary: the bytes and payload of :func:`samples_to_csv` and
+    :func:`simulation_summary` on ``simulate(config)``, with one chunk in
+    memory at a time.  The counts are integer sums over the chunks, and the
+    cured count over ``n_clusters`` is bitwise ``SampleSet.cure_fraction``."""
+    table = support_table(config.family)
+    summary_times = summary_times or []
+    checked = [_check_time_vector(config.hazards, t) for t in summary_times]
+    counts = [0] * (1 + len(checked))  # cured, then at risk at each summary time
+
+    def blocks():
+        for start, codes, times in _chunks(config, table):
+            z = table.z[codes]
+            counts[0] += int(np.count_nonzero(z == 0.0))
+            for i, t in enumerate(checked, 1):
+                counts[i] += _n_alive(times, t)
+            yield _csv_block(config.censor_time, start, z, times)
+
+    _io.write_csv(path, _csv_header(len(config.hazards)), blocks())
+    return _summary(config, counts[0] / config.n_clusters, summary_times, counts[1:])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
+from frailty_shapes import _kernels
 from frailty_shapes.extensions import (
     ConstantFloor,
     CorrelatedPoissonModel,
@@ -20,7 +23,7 @@ from frailty_shapes.extensions import (
     timevarying_shift_rfv,
 )
 from frailty_shapes.families import support_table
-from frailty_shapes.oracle import rfv as oracle_rfv
+from frailty_shapes.oracle import _rfv_from_sums, rfv as oracle_rfv
 
 EXP1 = fs.ExponentialRate(rate=1.0)
 LN2 = np.log(2.0)
@@ -265,6 +268,46 @@ class TestCouplingTable:
             joint_coupling=(coupling if coupling == "identical"
                             else CouplingTable(conditional=np.eye(8))))
         assert_allclose(piecewise_rfv(model, (800.5,)), fs.rfv_at(fam, 800.5), rtol=1e-12)
+
+    @staticmethod
+    def _negbin_then_poisson(conditional):
+        first, final = fs.NegBin(pi=0.3, nu=4.0), fs.Poisson(eta=200.0)
+        shape = (support_table(first).z.shape[0], support_table(final).z.shape[0])
+        return PiecewiseFrailtyModel(
+            cutpoints=(1.0,), segment_families=(first, final), hazards=(EXP1,),
+            joint_coupling=CouplingTable(conditional=conditional(shape)))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+    def test_blocked_prior_matches_the_whole_prior(self, n):
+        def random_columns(shape):
+            c = np.random.default_rng(3).random(shape)
+            return c / c.sum(axis=0)
+
+        model = self._negbin_then_poisson(random_columns)
+        times = np.linspace(1.0, 3.0, n)[:, None]
+        loads = model.segment_loads(times)
+        first, final = (support_table(f) for f in model.segment_families)
+        # every row's prior at once, then the moment sums over the whole grid
+        survive = np.exp(-np.multiply.outer(loads[:, 0], first.z))
+        prior = np.einsum("nk,nk...->n...", survive,
+                          model.joint_coupling.conditional[None]) * final.pmf
+        _, m1, m2, _ = _kernels.survivor_moment_grid(final.z, prior, loads[:, 1])
+        want = _rfv_from_sums("", loads[:, 1], final.z[0], m1, m2)
+        assert np.array_equal(piecewise_rfv(model, times), want)
+
+    def test_coupled_working_memory_is_bounded(self):
+        # numpy reports its array allocations to tracemalloc; the whole
+        # per-row prior of this grid alone would be 51 MB
+        model = self._negbin_then_poisson(lambda shape: np.full(shape, 1.0 / shape[0]))
+        times = np.linspace(1.0, 3.0, 20_000)[:, None]
+        piecewise_rfv(model, times[:2])  # build the support tables outside the trace
+        tracemalloc.start()
+        try:
+            piecewise_rfv(model, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_degenerate_conditional_raises(self):
         # every final value pairs only with an early value whose survival

@@ -18,7 +18,7 @@ def _joined(header, columns):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("n", [1, len(SPECIAL), _io.CHUNK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, len(SPECIAL), 16 * _io._BLOCK_ROWS + 5])
 def test_bytes_match_row_join(tmp_path, n):
     rng = np.random.default_rng(n)
     ids = np.arange(n)
@@ -28,14 +28,14 @@ def test_bytes_match_row_join(tmp_path, n):
     columns = (ids, special, noise, flags)
     header = ("id", "special", "noise", "flag")
     path = tmp_path / "t.csv"
-    _io.write_csv(path, header, columns)
+    _io.write_csv(path, header, _io.row_blocks(columns))
     want = _joined(header, [c.tolist() for c in columns])
     assert path.read_bytes() == want
 
 
 def test_special_values_spelled_out(tmp_path):
     path = tmp_path / "s.csv"
-    _io.write_csv(path, ("x",), (np.array(SPECIAL),))
+    _io.write_csv(path, ("x",), _io.row_blocks((np.array(SPECIAL),)))
     assert path.read_text().split("\n")[1:7] == [
         "inf", "-inf", "nan", "-0", "4.9406564584124654e-324", "10000000000000000"]
 

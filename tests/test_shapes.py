@@ -228,6 +228,23 @@ class TestStationaryPoints:
         assert len(pts) == 1
         assert abs(pts[0].lam - math.log(99.0) / 1e-5) < 1e3
 
+    def test_extremum_of_a_tiny_rfv_is_not_a_saddle(self):
+        # RFV ~ 2.5e-11 and RFV'' ~ -1.2e-21 at the root: an absolute
+        # tolerance on RFV'' called this maximum a saddle
+        pts = stationary_points(fs.KPoint(support=(1.0, 1.00001), probs=(0.01, 0.99)), 1e6)
+        assert [p.kind for p in pts] == ["max"]
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e3, 1e6])
+    def test_kinds_do_not_depend_on_the_time_unit(self, scale):
+        # support z -> z / scale turns RFV(lam) into RFV(lam / scale).  Below
+        # 1e-2 the finite-difference step of RFV'' (1e-5 for lam < 1) spans
+        # the extrema themselves, which is a defect of that step, not of the
+        # saddle test.
+        set1 = KPOINT_EXAMPLES["set1"]
+        scaled = fs.KPoint(support=tuple(z / scale for z in set1.support), probs=set1.probs)
+        pts = stationary_points(scaled, 12.0 * scale)
+        assert [p.kind for p in pts] == ["max", "min", "max"]
+
     def test_set1_long_curve_has_three_points(self):
         # the flat tail of set1 has no stationary point: RFV' < 0 there
         shape = curve(KPOINT_EXAMPLES["set1"], np.linspace(0.0, 1500.0, 3001))

@@ -5,13 +5,20 @@ the relevant binomial or bootstrap standard errors, so they are deterministic
 in practice and loose enough to survive implementation-neutral reseeding.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
+from frailty_shapes import _io
+from frailty_shapes.cli import main
+from frailty_shapes.families import support_table
 from frailty_shapes.simulate import (
     SimConfig,
+    _philox,
     empirical_crf,
     empirical_rfv,
     population_survival,
@@ -206,3 +213,80 @@ class TestSerialization:
         assert out["family"]["family"] == "poisson"
         assert [row["t"] for row in out["at_risk"]] == [[0.5], [1.0]]
         assert all(0 <= row["n"] <= 300 for row in out["at_risk"])
+
+
+B = _io._BLOCK_ROWS
+PIECEWISE = fs.PiecewiseConstant(breakpoints=(0.5, 2.0), rates=(0.5, 1.5, 0.8))
+
+
+def _one_shot(cfg):
+    """The draw as one (n, J + 1) uniform matrix, the reference for the chunks."""
+    table = support_table(cfg.family)
+    u = _philox(cfg.seed, 0).random((cfg.n_clusters, len(cfg.hazards) + 1))
+    codes = np.searchsorted(np.cumsum(table.pmf), u[:, 0], side="right")
+    codes = np.minimum(codes, table.z.shape[0] - 1)
+    z = table.z[codes]
+    cured = z == 0.0
+    times = np.empty((cfg.n_clusters, len(cfg.hazards)))
+    with np.errstate(divide="ignore"):
+        for q, hazard in enumerate(cfg.hazards):
+            target = np.where(cured, np.inf,
+                              -np.log1p(-u[:, q + 1]) / np.where(cured, 1.0, z))
+            times[:, q] = hazard.inverse_cumulative(target)
+    return codes, times
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("hazards", [(EXP1,), (EXP1, PIECEWISE)], ids=["J1", "J2"])
+    @pytest.mark.parametrize("family", [POISSON2, fs.KPoint(support=(0.5, 1.5), probs=(0.3, 0.7))],
+                             ids=["cured", "no_cured"])
+    def test_chunks_reproduce_the_one_shot_matrix(self, n, hazards, family):
+        cfg = SimConfig(family=family, hazards=hazards, n_clusters=n, seed=17)
+        s = simulate(cfg)
+        codes, times = _one_shot(cfg)
+        assert np.array_equal(s.codes, codes)
+        assert np.array_equal(s.times, times)
+        assert s.codes.dtype == np.int64 and s.times.shape == (n, len(hazards))
+
+    @pytest.mark.parametrize("censor", [None, 0.8])
+    def test_cli_stream_matches_the_library_writers(self, tmp_path, censor):
+        sim = {"family": {"family": "poisson", "params": {"eta": 2.0}},
+               "hazards": [fs.hazard_to_dict(EXP1), fs.hazard_to_dict(PIECEWISE)],
+               "n_clusters": 2 * B + 7, "seed": 5, "censor_time": censor}
+        summary_times = [[0.5, 0.5], [1.0, 2.5]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sim": sim, "summary_times": summary_times,
+                                        "out": str(tmp_path / "cli.csv")}))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+
+        samples = simulate(SimConfig(family=POISSON2, hazards=(EXP1, PIECEWISE),
+                                     n_clusters=2 * B + 7, seed=5, censor_time=censor))
+        samples_to_csv(samples, tmp_path / "lib.csv")
+        _io.write_json(tmp_path / "lib.json", simulation_summary(samples, summary_times))
+        for suffix in ("csv", "json"):
+            assert ((tmp_path / f"cli.{suffix}").read_bytes()
+                    == (tmp_path / f"lib.{suffix}").read_bytes())
+        summary = json.loads((tmp_path / "cli.json").read_text())
+        assert summary["cure_fraction"] == samples.cure_fraction()
+
+    def test_cli_memory_is_flat_in_n_clusters(self, tmp_path):
+        # numpy reports its array allocations to tracemalloc; the one-shot
+        # draw held ~53 bytes per cluster at J = 1, 40 MB more at 1e6 than
+        # at 2e5
+        def peak(n):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({
+                "sim": {"family": {"family": "poisson", "params": {"eta": 2.0}},
+                        "hazards": [fs.hazard_to_dict(EXP1)],
+                        "n_clusters": n, "seed": 1, "censor_time": 3.0},
+                "summary_times": [[0.5]], "out": str(tmp_path / "s.csv")}))
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfg)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(B)  # build the support table outside the trace
+        assert abs(peak(1_000_000) - peak(200_000)) < 2**20
