@@ -232,8 +232,10 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
 
-def _second_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
-    h = 1e-5 * np.maximum(1.0, lam)
+def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> np.ndarray:
+    """RFV'' by a difference of RFV' with step 1e-5 lambda, but never below
+    1e-5 ``floor``, the scan spacing, so that the step follows the time unit."""
+    h = 1e-5 * np.maximum(lam, floor)
     lo = np.maximum(lam - h, 0.0)
     return (_rfv_derivative(family, lam + h) - _rfv_derivative(family, lo)) / (lam + h - lo)
 
@@ -272,12 +274,13 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     if classify_tail(family) is TailClass.CONSTANT:
         return ()  # constant RFV: no isolated stationary points
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
+    spacing = grid[1]
     with np.errstate(over="ignore"):
         d = _rfv_derivative(family, grid)
         sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
         roots = _bisect(lambda x: _rfv_derivative(family, x),
                         grid[sign_change], grid[sign_change + 1], d[sign_change])
-        d2 = _second_derivative(family, roots)
+        d2 = _second_derivative(family, roots, spacing)
         flat = np.abs(d2) * roots * roots < SADDLE_TOL * np.abs(_triple_rfv(family, roots))
         kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
         # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
@@ -286,10 +289,10 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         dips = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
                  & (a[i] <= 1e-6 * scale[i]) & ~np.isin(i, sign_change)
                  & ~np.isin(i - 1, sign_change)]
-        g_lo = _second_derivative(family, grid[dips - 1])
-        g_hi = _second_derivative(family, grid[dips + 1])
+        g_lo = _second_derivative(family, grid[dips - 1], spacing)
+        g_hi = _second_derivative(family, grid[dips + 1], spacing)
         folds = g_lo * g_hi < 0.0
-        saddles = _bisect(lambda x: _second_derivative(family, x),
+        saddles = _bisect(lambda x: _second_derivative(family, x, spacing),
                           grid[dips - 1][folds], grid[dips + 1][folds], g_lo[folds])
         saddles = saddles[np.abs(_rfv_derivative(family, saddles))
                           < SADDLE_TOL * (1.0 + np.abs(_triple_rfv(family, saddles)))]

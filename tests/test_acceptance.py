@@ -3,13 +3,20 @@
 Each test runs the library-level criterion (the same code path the
 ``frailty-shapes verify`` subcommand uses), prints a single PASS/FAIL line,
 and asserts both the outcome and the criterion's wall-clock budget.  Failing
-checks are spelled out in the assertion message.
+checks are spelled out in the assertion message.  The RK4 integrator behind
+``addams_ode`` is also checked here against scipy's DOP853 and for its order.
 """
 
+import math
+
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from frailty_shapes import _kernels
-from frailty_shapes.verify import CRITERIA, run_criterion
+from frailty_shapes.errors import NumericalOverflow
+from frailty_shapes.families import Addams, _survivor_triple
+from frailty_shapes.verify import CRITERIA, _addams_ode, run_criterion
 
 # generous wall-clock ceilings, seconds
 BUDGETS = {
@@ -45,3 +52,49 @@ def test_criterion(name):
 def test_every_criterion_is_covered():
     assert set(BUDGETS) == set(CRITERIA)
     assert _kernels.active_backend() == "numpy"
+
+
+# (alpha, gamma): the three of the addams_ode criterion, then the other five
+# of test_families' test_matches_the_integrated_transform
+ADDAMS_PAIRS = [(-0.3, 0.5), (0.0, 0.5), (0.3, 0.5), (0.5, 0.5), (1.0, 0.2),
+                (-1.0, 2.0), (0.05, 3.0), (-0.05, 0.1)]
+
+
+@pytest.mark.parametrize("alpha,gamma", ADDAMS_PAIRS)
+def test_addams_rk4_matches_dop853(alpha, gamma):
+    from scipy.integrate import solve_ivp
+
+    step, n = 0.001, 8000
+    l0, l1 = _addams_ode(alpha, gamma, step, n)
+
+    def rhs(t, y):
+        return (y[1], (1.0 + gamma * math.exp(alpha * t)) * y[1] * y[1] / y[0])
+
+    # max_step keeps DOP853's dense output at the nodes as accurate as its
+    # steps: with its own ~0.27-long steps the interpolant is off by 3.6e-10
+    # at (1.0, 0.2), where the closed form agrees with RK4 to 2e-14
+    sol = solve_ivp(rhs, (0.0, step * n), (1.0, -1.0), method="DOP853", rtol=1e-12,
+                    atol=1e-250, t_eval=step * np.arange(n + 1), max_step=0.1)
+    assert sol.success
+    assert_allclose(l0, sol.y[0], rtol=1e-11, atol=0.0)
+    assert_allclose(l1, sol.y[1], rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha,gamma", ADDAMS_PAIRS)
+def test_addams_rk4_is_fourth_order(alpha, gamma):
+    def error(step):
+        n = round(5.0 / step)
+        l0, l1 = _addams_ode(alpha, gamma, step, n)
+        log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma),
+                                          step * np.arange(n + 1))
+        return max(np.max(np.abs(log_l - np.log(l0))), np.max(np.abs(mean + l1 / l0)))
+
+    # a fourth-order method cuts its error 16x when the step halves
+    assert error(0.004) >= 12.0 * error(0.002)
+
+
+def test_addams_rk4_raises_when_l_leaves_its_range():
+    with pytest.raises(NumericalOverflow, match="non-finite"):
+        _addams_ode(0.0, 0.5, 10.0, 400)  # a step this long blows up to inf
+    with pytest.raises(NumericalOverflow, match="math range error"):
+        _addams_ode(1.0, 0.5, 1.0, 800)  # e^(alpha s) overflows at s = 710

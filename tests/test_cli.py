@@ -446,21 +446,20 @@ try:
 except SystemExit:
     pass
 print("after --help:", scipy_loaded())
-from frailty_shapes.verify import run_criterion
-print("before addams_ode:", scipy_loaded())
-passed = run_criterion("addams_ode").passed
-print("after addams_ode:", scipy_loaded(), passed)
+from frailty_shapes.verify import run_all, run_criterion
+print("after addams_ode:", scipy_loaded(), run_criterion("addams_ode").passed)
+print("after run_all:", scipy_loaded(), all(r.passed for r in run_all()))
 """
 
 
-def test_scipy_is_imported_only_by_the_addams_ode_criterion():
-    """Start-up stays numpy plus the package: no import path loads scipy,
-    which only ``verify``'s ODE criterion needs."""
+def test_no_code_path_imports_scipy():
+    """The package needs numpy only: neither start-up nor any verify
+    criterion, the ODE check included, loads scipy."""
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-3:] == [
         "after --help: False",
-        "before addams_ode: False",
-        "after addams_ode: True True",
+        "after addams_ode: False True",
+        "after run_all: False True",
     ]

@@ -234,16 +234,20 @@ class TestStationaryPoints:
         pts = stationary_points(fs.KPoint(support=(1.0, 1.00001), probs=(0.01, 0.99)), 1e6)
         assert [p.kind for p in pts] == ["max"]
 
-    @pytest.mark.parametrize("scale", [1e-2, 1e3, 1e6])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e-2, 1.0, 1e3, 1e6])
     def test_kinds_do_not_depend_on_the_time_unit(self, scale):
-        # support z -> z / scale turns RFV(lam) into RFV(lam / scale).  Below
-        # 1e-2 the finite-difference step of RFV'' (1e-5 for lam < 1) spans
-        # the extrema themselves, which is a defect of that step, not of the
-        # saddle test.
+        # support z -> z / scale turns RFV(lam) into RFV(lam / scale).  The
+        # RFV'' step is relative to lam, floored at the scan spacing: an
+        # absolute 1e-5 below lam = 1 spanned the minimum near 1e-6 at scale
+        # 1e-6 and called it a max.  Locations agree to the absolute
+        # BISECT_TOL, which is 1e-6 of the unit scale at 1e-6.
         set1 = KPOINT_EXAMPLES["set1"]
         scaled = fs.KPoint(support=tuple(z / scale for z in set1.support), probs=set1.probs)
         pts = stationary_points(scaled, 12.0 * scale)
         assert [p.kind for p in pts] == ["max", "min", "max"]
+        assert_allclose([p.lam / scale for p in pts],
+                        [0.120937618633, 1.013104519685, 2.771454791425],
+                        rtol=0.0, atol=max(1e-11, 1e-12 / scale))
 
     def test_set1_long_curve_has_three_points(self):
         # the flat tail of set1 has no stationary point: RFV' < 0 there
