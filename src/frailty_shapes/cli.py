@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from . import _spec
 from ._io import row_blocks, sidecar_path, write_csv, write_json
 from .errors import FrailtyModelError, ParameterOutOfRange
 from .families import family_from_dict, family_to_dict
@@ -48,52 +49,41 @@ from .extensions import (
 from .verify import report, run_all
 
 
-def _load_config(path):
-    if path is None:
-        raise ParameterOutOfRange("this command requires --config CONFIG.json")
+def _load_config(path, kinds, optional=()) -> dict:
+    """The config at ``path``, its keys read by :func:`_spec.read`."""
+    _spec._require(path is not None, "this command requires --config CONFIG.json")
     with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ParameterOutOfRange("config root must be a JSON object")
-    return cfg
+        return _spec.read(json.load(fh), "config", kinds, optional)
+
+
+#: The config keys of an output file and its grid, both optional.
+_GRID_OUT = {"grid": "dict", "out": "str"}
 
 
 def _grid_from(spec) -> np.ndarray:
-    try:
-        start = float(spec["start"])
-        stop = float(spec["stop"])
-        points = int(spec["points"])
-    except (TypeError, KeyError) as exc:
-        raise ParameterOutOfRange(
-            f"grid must carry start/stop/points, got {spec!r}"
-        ) from exc
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ParameterOutOfRange("grid start/stop must be finite")
+    grid = _spec.read(spec, "grid", {"start": "float", "stop": "float", "points": "int"})
+    start, stop, points = float(grid["start"]), float(grid["stop"]), grid["points"]
     if start < 0.0 or stop <= start or points < 2:
-        raise ParameterOutOfRange(
-            f"grid needs stop > start >= 0 and points >= 2, got {spec!r}"
-        )
+        raise ParameterOutOfRange(f"grid needs stop > start >= 0 and points >= 2, got {spec!r}")
     return np.linspace(start, stop, points)
 
 
-def _out_path(cfg, args, default=None) -> str:
-    out = args.out or cfg.get("out", default)
-    if out is None:
-        raise ParameterOutOfRange("an output path is required (--out or config 'out')")
-    return str(out)
+def _out_path(cfg, args) -> str:
+    out = args.out or cfg.get("out")
+    _spec._require(out is not None, "an output path is required (--out or config 'out')")
+    return out
 
 
 def _cmd_curve(args) -> int:
-    cfg = _load_config(args.config)
-    family = family_from_dict(cfg["family"])
+    cfg = _load_config(args.config, {"family": family_from_dict, **_GRID_OUT}, _GRID_OUT)
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 5.0, "points": 101}))
-    shape = curve(family, grid)
-    write_curve(shape, _out_path(cfg, args))
+    write_curve(curve(cfg["family"], grid), _out_path(cfg, args))
     return 0
 
 
 def _cmd_fig2(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+    kinds = {"grid": "dict", "out_dir": "str"}  # all optional
+    cfg = _load_config(args.config, kinds, kinds) if args.config else {}
     out_dir = args.out or cfg.get("out_dir", ".")
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 12.0, "points": 481}))
     for name, family in KPOINT_EXAMPLES.items():
@@ -102,53 +92,45 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
-    family = family_from_dict(cfg["family"])
+    cfg = _load_config(args.config, {"family": family_from_dict, **_GRID_OUT}, _GRID_OUT)
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 41}))
-    ratio = rfv_at(family, grid)
-    brute = oracle_mod.rfv(family, grid)
+    ratio = rfv_at(cfg["family"], grid)
+    brute = oracle_mod.rfv(cfg["family"], grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
     write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
               row_blocks((grid, ratio, brute, rel)))
     write_json(sidecar_path(out), {
-        "family": family_to_dict(family),
+        "family": family_to_dict(cfg["family"]),
         "max_rel_diff": float(np.max(rel)),
     })
     return 0
 
 
 def _sim_config_from(cfg, seed_override) -> SimConfig:
-    spec = cfg.get("sim", cfg)
-    family = family_from_dict(spec["family"])
-    hazards = tuple(hazard_from_dict(h) for h in spec["hazards"])
-    seed = int(spec["seed"]) if seed_override is None else int(seed_override)
-    censor = spec.get("censor_time")
-    return SimConfig(family=family, hazards=hazards,
-                     n_clusters=int(spec["n_clusters"]), seed=seed,
-                     censor_time=None if censor is None else float(censor))
+    sim = _spec.read(cfg["sim"], "sim", {
+        "family": family_from_dict, "hazards": [hazard_from_dict], "n_clusters": "int",
+        "seed": "int", "censor_time": "Optional[float]",
+    }, ("censor_time",) if seed_override is None else ("censor_time", "seed"))
+    return SimConfig(**{**sim, "seed": sim["seed"] if seed_override is None else seed_override})
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"sim": "dict", "summary_times": [["float"]], "out": "str"},
+                       ("summary_times", "out"))
     sim_cfg = _sim_config_from(cfg, args.seed)
     out = _out_path(cfg, args)
-    write_json(sidecar_path(out),
-               _write_simulation(sim_cfg, out, cfg.get("summary_times")))
+    write_json(sidecar_path(out), _write_simulation(sim_cfg, out, cfg.get("summary_times")))
     return 0
 
 
 def _correlated_from(cfg) -> CorrelatedPoissonModel:
-    spec = cfg["model"]
-    return CorrelatedPoissonModel(
-        etas=tuple(float(e) for e in spec["etas"]),
-        w_dist=family_from_dict(spec["w_dist"]),
-        hazards=tuple(hazard_from_dict(h) for h in spec["hazards"]),
-    )
+    return CorrelatedPoissonModel(**_spec.read(cfg["model"], "model", {
+        "etas": "tuple", "w_dist": family_from_dict, "hazards": [hazard_from_dict]}))
 
 
 def _cmd_correlated(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"model": "dict", **_GRID_OUT}, _GRID_OUT)
     model = _correlated_from(cfg)
     top = float(sum(model.etas))
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": top, "points": 101}))
@@ -174,31 +156,27 @@ def _cmd_correlated(args) -> int:
     return 0
 
 
+def _coupling_from(spec):
+    """A coupling name as given (the model checks it), or a table's object."""
+    return spec if isinstance(spec, str) else CouplingTable(
+        **_spec.read(spec, "joint_coupling", {"conditional": "array"}))
+
+
 def _piecewise_from(cfg) -> PiecewiseFrailtyModel:
-    spec = cfg["model"]
-    coupling = spec.get("joint_coupling", "independent")
-    if isinstance(coupling, dict):
-        coupling = CouplingTable(conditional=np.asarray(coupling["conditional"],
-                                                        dtype=np.float64))
-    return PiecewiseFrailtyModel(
-        cutpoints=tuple(float(c) for c in spec["cutpoints"]),
-        segment_families=tuple(family_from_dict(f)
-                               for f in spec["segment_families"]),
-        hazards=tuple(hazard_from_dict(h) for h in spec["hazards"]),
-        joint_coupling=coupling,
-    )
+    return PiecewiseFrailtyModel(**_spec.read(cfg["model"], "model", {
+        "cutpoints": "tuple", "segment_families": [family_from_dict],
+        "hazards": [hazard_from_dict], "joint_coupling": _coupling_from,
+    }, optional=("joint_coupling",)))
 
 
 def _cmd_piecewise(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"model": "dict", **_GRID_OUT}, _GRID_OUT)
     model = _piecewise_from(cfg)
     floor = model.cutpoints[-1] if model.cutpoints else 0.0
     grid = _grid_from(cfg.get("grid", {"start": floor, "stop": floor + 5.0,
                                        "points": 101}))
-    if float(grid[0]) < floor:
-        raise ParameterOutOfRange(
-            f"piecewise grid must start at or after the final cutpoint {floor}"
-        )
+    _spec._require(float(grid[0]) >= floor,
+                   f"piecewise grid must start at or after the final cutpoint {floor}")
     # one row per grid time, the same time for every target
     rfv = piecewise_rfv(model, np.repeat(grid[:, None], len(model.hazards), axis=1))
     out = _out_path(cfg, args)
@@ -214,9 +192,9 @@ def _cmd_piecewise(args) -> int:
 
 
 def _cmd_timevarying(args) -> int:
-    cfg = _load_config(args.config)
-    model = TimeVaryingShift(inner=family_from_dict(cfg["inner"]),
-                             shift_fn=shift_from_dict(cfg["shift"]))
+    cfg = _load_config(args.config, {"inner": family_from_dict, "shift": shift_from_dict,
+                                     **_GRID_OUT}, _GRID_OUT)
+    model = TimeVaryingShift(inner=cfg["inner"], shift_fn=cfg["shift"])
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 201}))
     vals = timevarying_shift_rfv(model, grid)
     out = _out_path(cfg, args)
@@ -229,10 +207,8 @@ def _cmd_timevarying(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    only = args.only or cfg.get("only")
-    results = run_all(only)
-    payload = report(results)
+    cfg = _load_config(args.config, {"only": ["str"]}, ("only",)) if args.config else {}
+    payload = report(run_all(args.only or cfg.get("only")))
     if args.out:
         write_json(args.out, payload)
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -276,8 +252,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
-    except (FrailtyModelError, ValueError, TypeError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (FrailtyModelError, ValueError, TypeError, KeyError, OSError) as exc:
         message = str(exc) or type(exc).__name__
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,

@@ -24,7 +24,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _spec
+from ._spec import _require
 from .errors import (
     DegenerateDistribution,
     DivisionNearZero,
@@ -48,7 +49,8 @@ from .families import (
 )
 from .oracle import SurvivorPmf, _normalised, _rfv_from_sums, rfv as oracle_rfv, survivor_pmf
 from .shapes import classify_tail, crf_at
-from .simulate import _check_time_vector, _inverse_cdf, _philox
+from .hazards import _check_time_vector
+from .simulate import _inverse_cdf, _philox
 
 _STREAM_CORRELATED = 3
 
@@ -154,8 +156,8 @@ class CouplingTable:
         object.__setattr__(self, "conditional", arr)
         if arr.ndim < 2:
             raise LengthMismatch("a coupling table needs at least two segments")
-        if np.any(arr < 0.0):
-            raise ParameterOutOfRange("conditional probabilities must be nonnegative")
+        _require(np.all(np.isfinite(arr) & (arr >= 0.0)),
+                 "conditional probabilities must be finite and nonnegative")
         col_sums = arr.sum(axis=tuple(range(arr.ndim - 1)))
         if np.any(np.abs(col_sums - 1.0) > PROB_SUM_TOL):
             raise DegenerateDistribution(
@@ -196,10 +198,10 @@ class PiecewiseFrailtyModel:
         for fam in self.segment_families:
             validate(fam)
         cuts = self.cutpoints
-        if any(not math.isfinite(c) or c <= 0.0 for c in cuts):
-            raise ParameterOutOfRange(f"cutpoints must be positive, got {cuts}")
-        if any(b <= a for a, b in zip(cuts, cuts[1:])):
-            raise ParameterOutOfRange(f"cutpoints must strictly increase, got {cuts}")
+        _require(all(math.isfinite(c) and c > 0.0 for c in cuts),
+                 f"cutpoints must be positive, got {cuts}")
+        _require(all(a < b for a, b in zip(cuts, cuts[1:])),
+                 f"cutpoints must strictly increase, got {cuts}")
         if isinstance(self.joint_coupling, str):
             if self.joint_coupling not in ("independent", "identical"):
                 raise UnsupportedFamily(
@@ -298,58 +300,55 @@ def piecewise_tail(model: PiecewiseFrailtyModel):
 
 
 @dataclass(frozen=True)
-class ExpHalf:
+class _Path:
+    """A shift path p(Lambda) whose one parameter is positive and finite; it
+    is held as a float, so a spec echoes an integer parameter as 4.0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require(value > 0.0 and math.isfinite(value),
+                     f"{f.name} must be positive, got {value}")
+            object.__setattr__(self, f.name, float(value))
+
+
+@dataclass(frozen=True)
+class ExpHalf(_Path):
     """p(Lambda) = eta * exp(-Lambda / 2): decays at half the conditioning rate."""
 
     eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0 or not math.isfinite(self.eta):
-            raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
 
     def value(self, lam):
         return self.eta * np.exp(-lam / 2.0)
 
 
 @dataclass(frozen=True)
-class ExpHalfSine:
+class ExpHalfSine(_Path):
     """p(Lambda) = eta * exp(-Lambda / 2) * (2 + sin Lambda): half-rate decay
     with a bounded oscillation, so the relative variance keeps oscillating
     instead of settling at a limit."""
 
     eta: float
 
-    def __post_init__(self):
-        if not self.eta > 0.0 or not math.isfinite(self.eta):
-            raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
-
     def value(self, lam):
         return self.eta * np.exp(-lam / 2.0) * (2.0 + np.sin(lam))
 
 
 @dataclass(frozen=True)
-class ExpFull:
+class ExpFull(_Path):
     """p(Lambda) = eta * exp(-Lambda): decays as fast as the conditioning."""
 
     eta: float
-
-    def __post_init__(self):
-        if not self.eta > 0.0 or not math.isfinite(self.eta):
-            raise ParameterOutOfRange(f"eta must be positive, got {self.eta}")
 
     def value(self, lam):
         return self.eta * np.exp(-lam)
 
 
 @dataclass(frozen=True)
-class ConstantFloor:
+class ConstantFloor(_Path):
     """p(Lambda) = p0 > 0: a fixed guaranteed hazard contribution."""
 
     p0: float
-
-    def __post_init__(self):
-        if not self.p0 > 0.0 or not math.isfinite(self.p0):
-            raise ParameterOutOfRange(f"p0 must be positive, got {self.p0}")
 
     def value(self, lam):
         return np.full(np.shape(lam), self.p0)[()]
@@ -405,20 +404,10 @@ def shift_to_dict(path: ShiftPath) -> dict:
     tag = _SHIFT_TAGS.get(type(path))
     if tag is None:
         raise UnsupportedFamily(f"unsupported shift path {type(path)!r}")
-    return {"shift": tag, **{f.name: getattr(path, f.name) for f in fields(path)}}
+    return {"shift": tag, **_spec.dump(path)}
 
 
 def shift_from_dict(d: dict) -> ShiftPath:
-    """Inverse of :func:`shift_to_dict`; keys naming no field are ignored."""
-    if not isinstance(d, dict):
-        raise ParameterOutOfRange(f"malformed shift spec: {d!r}")
-    tag = d.get("shift")
-    by_tag = {t: cls for cls, t in _SHIFT_TAGS.items()}
-    if tag not in by_tag:
-        raise UnsupportedFamily(f"unknown shift tag {tag!r}")
-    cls = by_tag[tag]
-    try:
-        kwargs = {f.name: float(d[f.name]) for f in fields(cls)}
-    except KeyError as exc:
-        raise ParameterOutOfRange(f"shift {tag!r} is missing parameter {exc}") from exc
-    return cls(**kwargs)
+    """Inverse of :func:`shift_to_dict`; a missing or unknown key raises."""
+    return _spec.load_tagged(d, "shift", _SHIFT_TAGS, lambda tag: UnsupportedFamily(
+        f"unknown shift tag {tag!r}"), flat=True)

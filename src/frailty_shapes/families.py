@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _spec
+from ._spec import _require
 from .errors import (
     DegenerateDistribution,
     LengthMismatch,
@@ -55,17 +55,6 @@ class SupportTable(NamedTuple):
     tail_mass: float
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterOutOfRange(msg)
-
-
-def _is_integral(x) -> bool:
-    return isinstance(x, numbers.Integral) or (
-        isinstance(x, numbers.Real) and float(x).is_integer()
-    )
-
-
 @dataclass(frozen=True)
 class NegBin:
     """Negative binomial: failures before the nu-th success, support {0, 1, ...}."""
@@ -89,7 +78,7 @@ class NegBinPositive:
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0,
                  f"NegBinPositive pi must lie in (0, 1), got {self.pi}")
-        _require(_is_integral(self.nu) and self.nu >= 1,
+        _require(_spec._is_integral(self.nu) and self.nu >= 1,
                  f"NegBinPositive nu must be a positive integer, got {self.nu}")
         object.__setattr__(self, "nu", int(self.nu))
 
@@ -103,7 +92,7 @@ class Binomial:
 
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0, f"Binomial pi must lie in (0, 1), got {self.pi}")
-        _require(_is_integral(self.n) and self.n >= 1,
+        _require(_spec._is_integral(self.n) and self.n >= 1,
                  f"Binomial n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -565,45 +554,17 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-def _to_json(value):
-    """A field value in JSON form: nested families as dicts, tuples as lists."""
-    if type(value) in _FAMILY_TAGS:
-        return family_to_dict(value)
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _from_json(value):
-    """Inverse of :func:`_to_json`; lists stay lists for the constructors."""
-    return family_from_dict(value) if isinstance(value, dict) else value
-
-
 def family_to_dict(family: FrailtyFamily) -> dict:
     """JSON-ready dict representation, inverse of :func:`family_from_dict`."""
     tag = _FAMILY_TAGS.get(type(family))
     if tag is None:
         raise UnsupportedFamily(f"not a frailty family: {family!r}")
-    return {"family": tag,
-            "params": {f.name: _to_json(getattr(family, f.name)) for f in fields(family)}}
+    return {"family": tag, "params": _spec.dump(family, family_to_dict)}
 
 
 def family_from_dict(spec: dict) -> FrailtyFamily:
-    """Build a family from its dict form, validating all parameters.
-
-    Keys of ``params`` that name no field of the family are ignored.
-    """
-    try:
-        tag = spec["family"]
-        params = dict(spec.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ParameterOutOfRange(f"malformed family spec: {spec!r}") from exc
-    by_tag = {t: cls for cls, t in _FAMILY_TAGS.items()}
-    if tag not in by_tag:
-        raise UnsupportedFamily(
-            f"unknown family tag {tag!r}; expected one of {sorted(by_tag)}"
-        )
-    cls = by_tag[tag]
-    try:
-        kwargs = {f.name: _from_json(params[f.name]) for f in fields(cls)}
-    except KeyError as exc:
-        raise ParameterOutOfRange(f"family {tag!r} is missing parameter {exc}") from exc
-    return cls(**kwargs)
+    """Build a family from its dict form, validating all parameters; a
+    missing or unknown key raises ``ParameterOutOfRange``."""
+    return _spec.load_tagged(spec, "family", _FAMILY_TAGS, lambda tag: UnsupportedFamily(
+        f"unknown family tag {tag!r}; expected one of {sorted(_FAMILY_TAGS.values())}"
+    ), nested=family_from_dict)

@@ -10,12 +10,13 @@ used throughout the package is the sum of target-specific cumulative hazards,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _spec
+from ._spec import _require
 from .errors import LengthMismatch, ParameterOutOfRange
 
 
@@ -35,9 +36,8 @@ class ExponentialRate:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.rate)):
-            raise ParameterOutOfRange(
-                f"exponential rate must be positive and finite, got {self.rate}")
+        _require(self.rate > 0.0 and math.isfinite(self.rate),
+                 f"exponential rate must be positive and finite, got {self.rate}")
 
     def cumulative(self, t):
         return _float_if_scalar(self.rate * _as_float_array(t))
@@ -54,12 +54,10 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and math.isfinite(self.shape)):
-            raise ParameterOutOfRange(
-                f"Weibull shape must be positive and finite, got {self.shape}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ParameterOutOfRange(
-                f"Weibull scale must be positive and finite, got {self.scale}")
+        _require(self.shape > 0.0 and math.isfinite(self.shape),
+                 f"Weibull shape must be positive and finite, got {self.shape}")
+        _require(self.scale > 0.0 and math.isfinite(self.scale),
+                 f"Weibull scale must be positive and finite, got {self.scale}")
 
     def cumulative(self, t):
         return _float_if_scalar((_as_float_array(t) / self.scale) ** self.shape)
@@ -85,18 +83,12 @@ class PiecewiseConstant:
                 f"piecewise hazard needs len(rates) == len(breakpoints) + 1, "
                 f"got {len(rates)} rates for {len(breakpoints)} breakpoints"
             )
-        prev = 0.0
-        for b in breakpoints:
-            if not (b > prev and math.isfinite(b)):
-                raise ParameterOutOfRange(
-                    f"breakpoints must be positive, finite and strictly increasing, "
-                    f"got {breakpoints}"
-                )
-            prev = b
+        for prev, b in zip((0.0,) + breakpoints, breakpoints):
+            _require(b > prev and math.isfinite(b), "breakpoints must be positive, finite "
+                     f"and strictly increasing, got {breakpoints}")
         for r in rates:
-            if not (r > 0.0 and math.isfinite(r)):
-                raise ParameterOutOfRange(
-                    f"piecewise rates must be positive and finite, got {r}")
+            _require(r > 0.0 and math.isfinite(r),
+                     f"piecewise rates must be positive and finite, got {r}")
 
     def _tables(self):
         edges = np.concatenate(([0.0], np.asarray(self.breakpoints)))
@@ -122,13 +114,19 @@ class PiecewiseConstant:
 BaselineHazard = Union[ExponentialRate, Weibull, PiecewiseConstant]
 
 
+def _check_time_vector(hazards, t) -> np.ndarray:
+    """``t`` as a float vector of one finite, nonnegative time per hazard."""
+    t = np.atleast_1d(_as_float_array(t))
+    if t.shape[0] != len(hazards):
+        raise LengthMismatch(f"time vector of length {t.shape[0]} for {len(hazards)} hazards")
+    _require(np.all(np.isfinite(t)) and float(t.min()) >= 0.0,
+             "time vector must be finite and nonnegative")
+    return t
+
+
 def generic_time(hazards, t) -> float:
     """Sum of per-target cumulative hazards at the time vector ``t``."""
-    t = np.atleast_1d(_as_float_array(t))
-    if len(hazards) != t.shape[0]:
-        raise LengthMismatch(
-            f"{len(hazards)} hazards but time vector of length {t.shape[0]}"
-        )
+    t = _check_time_vector(hazards, t)
     return float(sum(h.cumulative(ti) for h, ti in zip(hazards, t)))
 
 
@@ -139,27 +137,12 @@ _HAZARD_TAGS = {ExponentialRate: "exponential", Weibull: "weibull",
 
 def hazard_to_dict(hazard: BaselineHazard) -> dict:
     tag = _HAZARD_TAGS.get(type(hazard))
-    if tag is None:
-        raise ParameterOutOfRange(f"not a baseline hazard: {hazard!r}")
-    params = {f.name: getattr(hazard, f.name) for f in fields(hazard)}
-    return {"hazard": tag,
-            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}
+    _require(tag is not None, f"not a baseline hazard: {hazard!r}")
+    return {"hazard": tag, "params": _spec.dump(hazard)}
 
 
 def hazard_from_dict(spec: dict) -> BaselineHazard:
-    """Inverse of :func:`hazard_to_dict`; params keys naming no field are ignored."""
-    try:
-        tag = spec["hazard"]
-        params = dict(spec.get("params", {}))
-    except (TypeError, KeyError) as exc:
-        raise ParameterOutOfRange(f"malformed hazard spec: {spec!r}") from exc
-    by_tag = {t: cls for cls, t in _HAZARD_TAGS.items()}
-    if tag not in by_tag:
-        raise ParameterOutOfRange(
-            f"unknown hazard tag {tag!r}; expected one of {sorted(by_tag)}"
-        )
-    try:
-        kwargs = {f.name: params[f.name] for f in fields(by_tag[tag])}
-    except KeyError as exc:
-        raise ParameterOutOfRange(f"hazard {tag!r} is missing parameter {exc}") from exc
-    return by_tag[tag](**kwargs)
+    """Inverse of :func:`hazard_to_dict`; a missing or unknown key raises."""
+    return _spec.load_tagged(spec, "hazard", _HAZARD_TAGS, lambda tag: ParameterOutOfRange(
+        f"unknown hazard tag {tag!r}; expected one of {sorted(_HAZARD_TAGS.values())}"
+    ))

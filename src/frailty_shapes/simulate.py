@@ -37,7 +37,7 @@ from .errors import (
     TooFewAtRisk,
 )
 from .families import FrailtyFamily, family_to_dict, support_table
-from .hazards import hazard_to_dict
+from .hazards import _check_time_vector, hazard_to_dict
 
 #: Estimators refuse to run on fewer at-risk clusters than this.
 MIN_AT_RISK = 30
@@ -132,17 +132,6 @@ class SampleSet(Sequence):
 
     def n_at_risk(self, t) -> int:
         return _n_alive(self.times, _check_time_vector(self.config.hazards, t))
-
-
-def _check_time_vector(hazards, t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if t.shape[0] != len(hazards):
-        raise LengthMismatch(
-            f"time vector of length {t.shape[0]} for {len(hazards)} hazards"
-        )
-    if not np.all(np.isfinite(t)) or float(t.min()) < 0.0:
-        raise ParameterOutOfRange("time vector must be finite and nonnegative")
-    return t
 
 
 def _chunks(config: SimConfig, table):

@@ -313,6 +313,51 @@ class TestTimevaryingCommand:
         assert not out.exists()
 
 
+SIM = {"family": POISSON_CFG["family"], "hazards": [EXP_HAZARD], "n_clusters": 10, "seed": 1}
+KPOINT_SEGMENTS = [{"family": "kpoint", "params": {"support": [0.0, 1.0], "probs": [0.5, 0.5]}},
+                   {"family": "kpoint", "params": {"support": [0.5, 1.5], "probs": [0.4, 0.6]}}]
+INF = float("inf")
+
+
+@pytest.mark.parametrize("command,config,field", [
+    ("curve", {**POISSON_CFG, "grid": {"start": 0.0, "stop": 1.0, "points": INF}},
+     "grid parameter 'points' must be a finite number"),
+    ("simulate", {"sim": {**SIM, "n_clusters": INF}},
+     "sim parameter 'n_clusters' must be a finite number"),
+    ("simulate", {"sim": {**SIM, "seed": INF}}, "sim parameter 'seed' must be a finite number"),
+    ("curve", {**POISSON_CFG, "grid": {"start": 0.0, "stop": 1.0, "points": 3.9}},
+     "grid parameter 'points' must be an integer"),
+    ("simulate", {"sim": {**SIM, "n_clusters": 10.7}},
+     "sim parameter 'n_clusters' must be an integer"),
+    ("curve", {"family": {"family": "poisson", "params": {"eta": 2.0, "bogus": 1}}},
+     "family 'poisson' has unknown parameter 'bogus'"),
+    ("curve", {"family": {"family": "poisson", "params": {"eta": "2"}}},
+     "family 'poisson' parameter 'eta' must be a finite number"),
+    ("curve", {"family": {"family": "poisson", "params": {"eta": True}}},
+     "family 'poisson' parameter 'eta' must be a finite number"),
+    ("simulate", {"sim": {k: v for k, v in SIM.items() if k != "seed"}},
+     "sim is missing parameter 'seed'"),
+    ("simulate", SIM, "config has unknown parameter"),  # the sim keys belong under "sim"
+    ("piecewise", {"model": {"cutpoints": [0.5], "segment_families": KPOINT_SEGMENTS,
+                             "hazards": [EXP_HAZARD],
+                             "joint_coupling": {"conditional": [[float("nan"), 0.5]] * 2}}},
+     "joint_coupling parameter 'conditional'[0][0] must be a finite number"),
+], ids=["points_1e400", "n_clusters_1e400", "seed_1e400", "fractional_points",
+        "fractional_n_clusters", "unknown_param", "string_param", "bool_param",
+        "missing_seed", "flat_sim", "nan_coupling"])
+def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "cfg.json"
+    # 1e400 as written in a config file parses to inf
+    cfg.write_text(json.dumps({**config, "out": str(tmp_path / "out.csv")})
+                   .replace("Infinity", "1e400"))
+    rc, _, err = run_main([command, "--config", str(cfg)], capsys)
+    assert rc == 2
+    payload = json.loads(err)
+    assert payload["error"] == "ParameterOutOfRange"
+    assert payload["message"].startswith(field)
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestVerifyCommand:
     def test_single_criterion_report(self, tmp_path, capsys):
         rc, out, _ = run_main(["verify", "--only", "tail_limits",

@@ -253,6 +253,11 @@ class TestCouplingTable:
         with pytest.raises(fs.ParameterOutOfRange):
             CouplingTable(conditional=np.array([[-0.2, 0.0], [1.2, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(fs.ParameterOutOfRange, match="must be finite and nonnegative"):
+            CouplingTable(conditional=np.array([[bad, 0.5], [bad, 0.5]]))
+
     def test_shape_validated_against_supports(self):
         fam = fs.KPoint(support=(0.5, 1.5), probs=(0.5, 0.5))
         with pytest.raises(fs.LengthMismatch):
@@ -408,9 +413,11 @@ class TestTimeVaryingShift:
                    ConstantFloor(p0=0.5)):
             again = shift_from_dict(shift_to_dict(fn))
             assert repr(again) == repr(fn)
-            spec = {**shift_to_dict(fn), "period": 3.0}  # ignored
-            assert shift_from_dict(spec) == fn
-            (field,) = set(spec) - {"shift", "period"}
+            spec = shift_to_dict(fn)
+            with pytest.raises(fs.ParameterOutOfRange,
+                               match=f"^shift '{spec['shift']}' has unknown parameter 'period'"):
+                shift_from_dict({**spec, "period": 3.0})
+            (field,) = set(spec) - {"shift"}
             del spec[field]
             with pytest.raises(fs.ParameterOutOfRange,
                                match=f"^shift '{spec['shift']}' is missing "

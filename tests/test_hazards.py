@@ -122,6 +122,12 @@ def test_generic_time_length_checked():
         generic_time((ExponentialRate(rate=1.0),), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_generic_time_rejects_bad_times(t):
+    with pytest.raises(ParameterOutOfRange, match="^time vector must be finite and nonnegative$"):
+        generic_time((ExponentialRate(rate=1.0),), (t,))
+
+
 def test_dict_unknown_tag_rejected():
     with pytest.raises(ParameterOutOfRange, match="^unknown hazard tag 'gompertz'; "
                        r"expected one of \['exponential', 'piecewise', 'weibull'\]$"):
@@ -133,8 +139,10 @@ def test_dict_round_trip():
         again = hazard_from_dict(hazard_to_dict(hz))
         assert repr(again) == repr(hz)
         spec = hazard_to_dict(hz)
-        spec["params"]["extra"] = [1.0]  # keys naming no field are ignored
-        assert hazard_from_dict(spec) == hz
+        extra = {**spec, "params": {**spec["params"], "extra": [1.0]}}
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"^hazard '{spec['hazard']}' has unknown parameter 'extra'"):
+            hazard_from_dict(extra)
         missing = next(iter(spec["params"]))
         del spec["params"][missing]
         with pytest.raises(ParameterOutOfRange,
