@@ -24,7 +24,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from . import _kernels, _spec
+from . import _io, _kernels, _spec
 from ._spec import _require
 from .errors import (
     DegenerateDistribution,
@@ -123,16 +123,25 @@ class CorrelatedPoissonModel:
         """Draw n joint frailty vectors, shape (n, J)."""
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterOutOfRange(f"n must be a positive integer, got {n}")
-        rng = _philox(seed, _STREAM_CORRELATED)
+        return np.concatenate(list(self._draw_chunks(n, seed))).astype(np.float64)
+
+    def _draw_chunks(self, n: int, seed: int):
+        """Yield :meth:`sample`'s rows as integers, ``_io._BLOCK_ROWS`` at a time:
+        one generator skips the stream's n mixer values to its Poisson draws, a
+        second on the same key replays them; numpy draws element by element."""
         if isinstance(self.w_dist, GammaFrailty):
             shape = self.w_dist.mean**2 / self.w_dist.variance
             scale = self.w_dist.variance / self.w_dist.mean
-            w = rng.gamma(shape, scale, size=n)
+            mixer = lambda rng, size: rng.gamma(shape, scale, size=size)
         else:
             table = support_table(self.w_dist)
-            w = table.z[_inverse_cdf(table, rng.random(n))]
-        lam = w[:, None] * np.asarray(self.etas)[None, :]
-        return rng.poisson(lam).astype(np.float64)
+            mixer = lambda rng, size: table.z[_inverse_cdf(table, rng.random(size))]
+        sizes = [min(_io._BLOCK_ROWS, n - s) for s in range(0, n, _io._BLOCK_ROWS)]
+        replay, rng = _philox(seed, _STREAM_CORRELATED), _philox(seed, _STREAM_CORRELATED)
+        for size in sizes:
+            mixer(rng, size)
+        for size in sizes:
+            yield rng.poisson(np.multiply.outer(mixer(replay, size), self.etas))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +161,11 @@ class CouplingTable:
     conditional: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.conditional, dtype=np.float64)
+        try:
+            arr = np.asarray(self.conditional, dtype=np.float64)
+        except ValueError:  # ragged nesting, or entries that are not numbers
+            raise LengthMismatch("joint_coupling conditional must be a rectangular table "
+                                 f"of numbers, got {self.conditional!r}") from None
         object.__setattr__(self, "conditional", arr)
         if arr.ndim < 2:
             raise LengthMismatch("a coupling table needs at least two segments")

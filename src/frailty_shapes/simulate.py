@@ -14,10 +14,11 @@ consecutive row chunks of one stream: the same bits as one
 on the chunk size or on scheduling.  Bootstrap standard errors use separate
 stream ids.
 
-Memory: clusters are drawn in chunks of ``_io._BLOCK_ROWS`` rows.
-:func:`simulate` fills one preallocated array per quantity; the command
-line's writer (:func:`_write_simulation`) writes and counts each chunk as it
-is drawn, so it holds one chunk whatever ``n_clusters`` is.
+Memory: clusters are drawn in chunks of ``_io._BLOCK_ROWS`` rows, and
+:func:`simulate` fills one array per quantity.  Each estimator counts, then
+estimates from the integer counts alone; :func:`_tally` counts chunk by
+chunk, so ``verify`` and the command line's writer (:func:`_write_simulation`)
+hold one chunk whatever ``n_clusters`` is.
 """
 
 from __future__ import annotations
@@ -131,11 +132,12 @@ class SampleSet(Sequence):
         return float(np.mean(self.z == 0.0))
 
     def n_at_risk(self, t) -> int:
-        return _n_alive(self.times, _check_time_vector(self.config.hazards, t))
+        t = _check_time_vector(self.config.hazards, t)
+        return int((self.times > t[None, :]).all(axis=1).sum())
 
 
 def _chunks(config: SimConfig, table):
-    """Yield ``(start, codes, times)`` for consecutive chunks of at most
+    """Yield ``(start, codes, z, times)`` for consecutive chunks of at most
     ``_io._BLOCK_ROWS`` clusters, ``table`` being the family's support table.
 
     Each chunk continues the one main stream, so the chunks' uniforms are the
@@ -154,7 +156,7 @@ def _chunks(config: SimConfig, table):
                 exp_draw = -np.log1p(-u[:, q + 1])
                 target = np.where(cured, np.inf, exp_draw / np.where(cured, 1.0, z))
                 times[:, q] = hazard.inverse_cumulative(target)
-        yield start, codes, times
+        yield start, codes, z, times
 
 
 def simulate(config: SimConfig) -> SampleSet:
@@ -162,34 +164,17 @@ def simulate(config: SimConfig) -> SampleSet:
     table = support_table(config.family)
     codes = np.empty(config.n_clusters, dtype=np.int64)
     times = np.empty((config.n_clusters, len(config.hazards)))
-    for start, chunk_codes, chunk_times in _chunks(config, table):
+    for start, chunk_codes, _, chunk_times in _chunks(config, table):
         codes[start:start + chunk_codes.shape[0]] = chunk_codes
         times[start:start + chunk_codes.shape[0]] = chunk_times
     return SampleSet(config=config, support=table.z, codes=codes, times=times)
 
 
-def _n_alive(times: np.ndarray, t: np.ndarray) -> int:
-    """Rows of ``times`` with every event time past the time vector ``t``."""
-    return int((times > t[None, :]).all(axis=1).sum())
-
-
 def population_survival(samples: SampleSet, t) -> EmpiricalEstimate:
     """Empirical P(all targets event-free at t) with its binomial-proportion SE."""
-    t = _check_time_vector(samples.config.hazards, t)
-    n = len(samples)
-    alive = _n_alive(samples.times, t)
+    n, alive = len(samples), samples.n_at_risk(t)
     p = alive / n
     return EmpiricalEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / n), alive)
-
-
-def _rfv_from_counts(support, counts):
-    m = counts.sum(axis=-1)
-    mean = counts @ support / m
-    second = counts @ (support * support) / m
-    var = (second - mean**2) * (m / (m - 1.0))
-    # callers reject mean <= 0; keep the zero-mean rows quiet until then
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return var / mean**2, mean
 
 
 def empirical_rfv(samples: SampleSet, t) -> EmpiricalEstimate:
@@ -202,18 +187,7 @@ def empirical_rfv(samples: SampleSet, t) -> EmpiricalEstimate:
     t = _check_time_vector(samples.config.hazards, t)
     counts = _kernels.riskset_value_counts(samples.codes, samples.times, t,
                                            samples.support.shape[0])
-    m = int(counts.sum())
-    if m < MIN_AT_RISK:
-        raise TooFewAtRisk(f"only {m} clusters at risk at t={t}, need {MIN_AT_RISK}")
-    est, mean = _rfv_from_counts(samples.support, counts.astype(np.float64))
-    if mean <= 0.0:
-        raise DegenerateConditional("all at-risk clusters have zero frailty")
-    rng = _philox(samples.config.seed, _STREAM_RFV_BOOT)
-    resampled = rng.multinomial(m, counts / m, size=BOOTSTRAP_RESAMPLES)
-    boot, boot_mean = _rfv_from_counts(samples.support, resampled.astype(np.float64))
-    ok = boot_mean > 0.0
-    se = float(np.std(boot[ok], ddof=1))
-    return EmpiricalEstimate(float(est), se, m)
+    return _rfv_estimate(samples.config, counts, t)
 
 
 def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
@@ -228,27 +202,93 @@ def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
     bootstraps the 3x3 joint window/survival table (200 multinomial
     resamples).
     """
-    jn = len(samples.config.hazards)
+    query = _crf_query(samples.config, t, j, j_prime, window)
+    return _crf_estimate(samples.config, _crf_cells(samples.times, query), query[0], window)
+
+
+def _crf_query(config: SimConfig, t, j: int, j_prime: int, window: float) -> tuple:
+    """The checked cross-ratio query ``(t, j, j_prime, window)``."""
+    jn = len(config.hazards)
     if jn < 2:
         raise LengthMismatch("the cross-ratio needs at least two targets")
     if j == j_prime or not (0 <= j < jn and 0 <= j_prime < jn):
         raise ParameterOutOfRange(
             f"need two distinct target indices in [0, {jn}), got {j}, {j_prime}"
         )
-    t = _check_time_vector(samples.config.hazards, t)
+    t = _check_time_vector(config.hazards, t)
     if not window > 0.0:
         raise ParameterOutOfRange(f"window must be positive, got {window}")
-    others = [q for q in range(jn) if q not in (j, j_prime)]
+    return t, j, j_prime, window
+
+
+def _crf_cells(times: np.ndarray, query: tuple) -> np.ndarray:
+    """The flat 3x3 table of ``query`` over the rows whose other targets survive."""
+    t, j, j_prime, window = query
+    others = [q for q in range(times.shape[1]) if q not in (j, j_prime)]
     if others:
-        keep = (samples.times[:, others] > t[others][None, :]).all(axis=1)
-        ta = samples.times[keep, j]
-        tb = samples.times[keep, j_prime]
-    else:
-        ta = samples.times[:, j]
-        tb = samples.times[:, j_prime]
-    cells = _kernels.crf_cell_counts(ta, tb, t[j], t[j_prime], window)
+        times = times[(times[:, others] > t[others][None, :]).all(axis=1)]
+    return _kernels.crf_cell_counts(times[:, j], times[:, j_prime], t[j], t[j_prime], window)
+
+
+def _tally(config: SimConfig, alive_times=(), crf_queries=(),
+           sink=lambda chunks: sum(1 for _ in chunks)):
+    """``(cured, values, cells)`` of ``simulate(config)``, summed chunk by chunk:
+    the cured count, the at-risk frailty-value counts at each of ``alive_times``
+    and the table of each ``(t, j, j_prime, window)`` cross-ratio query.
+    ``sink`` consumes the ``(start, z, times)`` chunks (by default it drops
+    them) once the queries pass their checks."""
+    table = support_table(config.family)
+    alive_times = [_check_time_vector(config.hazards, t) for t in alive_times]
+    crf_queries = [_crf_query(config, *q) for q in crf_queries]
+    values = np.zeros((len(alive_times), table.z.shape[0]), dtype=np.int64)
+    cells = np.zeros((len(crf_queries), 9), dtype=np.int64)
+    cured = 0
+
+    def counted():
+        nonlocal cured
+        for start, codes, z, times in _chunks(config, table):
+            cured += int(np.count_nonzero(z == 0.0))
+            for i, t in enumerate(alive_times):
+                values[i] += _kernels.riskset_value_counts(codes, times, t, table.z.shape[0])
+            for i, query in enumerate(crf_queries):
+                cells[i] += _crf_cells(times, query)
+            yield start, z, times
+
+    sink(counted())
+    return cured, values, cells
+
+
+def _rfv_from_counts(support, counts):
+    m = counts.sum(axis=-1)
+    mean = counts @ support / m
+    second = counts @ (support * support) / m
+    var = (second - mean**2) * (m / (m - 1.0))
+    # callers reject mean <= 0; keep the zero-mean rows quiet until then
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return var / mean**2, mean
+
+
+def _rfv_estimate(config: SimConfig, counts: np.ndarray, t) -> EmpiricalEstimate:
+    """:func:`empirical_rfv` from the at-risk frailty-value ``counts`` at ``t``."""
+    support = support_table(config.family).z
+    m = int(counts.sum())
+    if m < MIN_AT_RISK:
+        raise TooFewAtRisk(f"only {m} clusters at risk at t={t}, need {MIN_AT_RISK}")
+    est, mean = _rfv_from_counts(support, counts.astype(np.float64))
+    if mean <= 0.0:
+        raise DegenerateConditional("all at-risk clusters have zero frailty")
+    rng = _philox(config.seed, _STREAM_RFV_BOOT)
+    resampled = rng.multinomial(m, counts / m, size=BOOTSTRAP_RESAMPLES)
+    boot, boot_mean = _rfv_from_counts(support, resampled.astype(np.float64))
+    ok = boot_mean > 0.0
+    se = float(np.std(boot[ok], ddof=1))
+    return EmpiricalEstimate(float(est), se, m)
+
+
+def _crf_estimate(config: SimConfig, cells: np.ndarray, t, window: float) -> EmpiricalEstimate:
+    """:func:`empirical_crf` from the flattened 3x3 table ``cells``."""
     total = int(cells.sum())
-    rng = _philox(samples.config.seed, _STREAM_CRF_BOOT)
+    rng = _philox(config.seed, _STREAM_CRF_BOOT)
     # row 0 is the sample, rows 1.. its resamples; an empty table resamples
     # to empty tables, which row 0's first check rejects
     draws = rng.multinomial(total, cells / max(total, 1), size=BOOTSTRAP_RESAMPLES)
@@ -329,23 +369,12 @@ def simulation_summary(samples: SampleSet, summary_times=None) -> dict:
 
 
 def _write_simulation(config: SimConfig, path, summary_times=None) -> dict:
-    """Draw ``config``'s clusters chunk by chunk, write them to ``path`` and
-    return their summary: the bytes and payload of :func:`samples_to_csv` and
-    :func:`simulation_summary` on ``simulate(config)``, with one chunk in
-    memory at a time.  The counts are integer sums over the chunks, and the
-    cured count over ``n_clusters`` is bitwise ``SampleSet.cure_fraction``."""
-    table = support_table(config.family)
+    """Write ``config``'s clusters to ``path`` and return their summary, one
+    chunk in memory: the bytes and payload of :func:`samples_to_csv` and
+    :func:`simulation_summary` on ``simulate(config)``."""
     summary_times = summary_times or []
-    checked = [_check_time_vector(config.hazards, t) for t in summary_times]
-    counts = [0] * (1 + len(checked))  # cured, then at risk at each summary time
-
-    def blocks():
-        for start, codes, times in _chunks(config, table):
-            z = table.z[codes]
-            counts[0] += int(np.count_nonzero(z == 0.0))
-            for i, t in enumerate(checked, 1):
-                counts[i] += _n_alive(times, t)
-            yield _csv_block(config.censor_time, start, z, times)
-
-    _io.write_csv(path, _csv_header(len(config.hazards)), blocks())
-    return _summary(config, counts[0] / config.n_clusters, summary_times, counts[1:])
+    cured, values, _ = _tally(config, summary_times, sink=lambda chunks: _io.write_csv(
+        path, _csv_header(len(config.hazards)),
+        (_csv_block(config.censor_time, *chunk) for chunk in chunks)))
+    return _summary(config, cured / config.n_clusters, summary_times,
+                    [int(v.sum()) for v in values])

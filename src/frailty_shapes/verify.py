@@ -43,7 +43,7 @@ from .shapes import (
     stationary_points,
     zmp_derivative_terms,
 )
-from .simulate import SimConfig, empirical_crf, empirical_rfv, population_survival, simulate
+from .simulate import SimConfig, _crf_estimate, _rfv_estimate, _tally
 from .extensions import (
     ConstantFloor,
     CorrelatedPoissonModel,
@@ -260,18 +260,17 @@ def _crit_mc_selection() -> list:
     times = (0.0, 0.5, 1.0, 1.5, 2.0)
     n = 10**6
     for fam, seed in cases:
-        samples = simulate(SimConfig(family=fam, hazards=hazards,
-                                     n_clusters=n, seed=seed))
-        for t in times:
-            est = empirical_rfv(samples, [t])
+        config = SimConfig(family=fam, hazards=hazards, n_clusters=n, seed=seed)
+        _, values, _ = _tally(config, alive_times=[[t] for t in times])
+        for t, counts in zip(times, values):
+            est = _rfv_estimate(config, counts, [t])
             target = rfv_at(fam, t)
             checks.append(_close(f"rfv {_describe(fam)} t={t}", est.estimate,
                                  target, 3.0 * est.std_error))
-            surv = population_survival(samples, [t])
             l0 = laplace(fam, t).l0
             se = math.sqrt(l0 * (1.0 - l0) / n)
             checks.append(_close(f"survival {_describe(fam)} t={t}",
-                                 surv.estimate, l0, 3.0 * se))
+                                 int(counts.sum()) / n, l0, 3.0 * se))
     return checks
 
 
@@ -281,22 +280,23 @@ def _crit_crf_identity() -> list:
     checks = []
     fam = KPoint(support=(0.0, 1.0), probs=(0.5, 0.5))
     hazards = (ExponentialRate(rate=1.0), ExponentialRate(rate=1.0))
-    samples = simulate(SimConfig(family=fam, hazards=hazards,
-                                 n_clusters=10**6, seed=730006))
+    config = SimConfig(family=fam, hazards=hazards, n_clusters=10**6, seed=730006)
     t = (math.log(2.0) / 2.0, math.log(2.0) / 2.0)
     lam = math.log(2.0)
     target = 1.0 + rfv_at(fam, lam)
 
-    # Shrink the window until halving it moves the estimate by < 0.5 SE.
-    window = 0.05
-    est = empirical_crf(samples, t, 0, 1, window=window)
-    for _ in range(4):
+    # Shrink the window until halving it moves the estimate by < 0.5 SE; the
+    # (0, 1) tables of all five windows come from one pass over the draws.
+    windows = [0.05 / 2.0**i for i in range(5)]
+    _, _, tables = _tally(config, crf_queries=[(t, 0, 1, w) for w in windows])
+    window, cells, est = windows[0], tables[0], _crf_estimate(config, tables[0], t, windows[0])
+    for finer_window, finer_cells in zip(windows[1:], tables[1:]):
         try:
-            finer = empirical_crf(samples, t, 0, 1, window=window / 2.0)
+            finer = _crf_estimate(config, finer_cells, t, finer_window)
         except (TooFewAtRisk, EmptyWindow):
             break
         moved = abs(finer.estimate - est.estimate)
-        est, window = finer, window / 2.0
+        est, window, cells = finer, finer_window, finer_cells
         if moved < 0.5 * finer.std_error:
             break
     # First-order window bias: the cross-ratio drifts by at most its
@@ -307,7 +307,8 @@ def _crit_crf_identity() -> list:
     checks.append(_close(f"crf at generic time ln2 (window={window:g})",
                          est.estimate, target, tol))
 
-    swapped = empirical_crf(samples, t, 1, 0, window=window)
+    # the (1, 0) table is the (0, 1) table transposed
+    swapped = _crf_estimate(config, cells.reshape(3, 3).T.ravel(), t, window)
     checks.append(_close("symmetry under swapping the target pair",
                          swapped.estimate, est.estimate,
                          3.0 * (swapped.std_error + est.std_error)))
@@ -372,8 +373,12 @@ def _crit_correlated_model() -> list:
 
     rho = model.frailty_correlation(0, 1)
     n = 10**6
-    z = model.sample(n, seed=730008)
-    sample_rho = float(np.corrcoef(z[:, 0], z[:, 1])[0, 1])
+    sums = [0] * 5  # sum x, y, x^2, y^2, xy as exact integers
+    for z in model._draw_chunks(n, seed=730008):
+        x, y = z[:, 0], z[:, 1]
+        sums = [s + int(v.sum()) for s, v in zip(sums, (x, y, x * x, y * y, x * y))]
+    sx, sy, sxx, syy, sxy = sums
+    sample_rho = (n * sxy - sx * sy) / math.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
     se = (1.0 - rho * rho) / math.sqrt(n)
     checks.append(_close("frailty correlation vs MC", sample_rho, rho, 3.0 * se))
     return checks

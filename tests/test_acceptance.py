@@ -8,6 +8,7 @@ checks are spelled out in the assertion message.  The RK4 integrator behind
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_criterion(name):
 def test_every_criterion_is_covered():
     assert set(BUDGETS) == set(CRITERIA)
     assert _kernels.active_backend() == "numpy"
+
+
+
+@pytest.mark.parametrize("name", ["mc_selection", "crf_identity", "correlated_model"])
+def test_monte_carlo_criteria_stream_their_draws(name):
+    # each criterion draws 1e6 clusters; held in memory they peaked at
+    # 46-54 MiB, streamed in chunks they stay near 1 MiB
+    tracemalloc.start()
+    try:
+        assert run_criterion(name).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
 
 # (alpha, gamma): the three of the addams_ode criterion, then the other five

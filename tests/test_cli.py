@@ -358,6 +358,22 @@ def test_bad_config_exits_two_naming_the_field(tmp_path, capsys, command, config
     assert not (tmp_path / "out.csv").exists()
 
 
+
+@pytest.mark.parametrize("conditional", [[[0.5, 0.5], [0.5]], [[[0.5], [0.5]], [0.5, 0.5]]],
+                         ids=["ragged_rows", "ragged_depth"])
+def test_ragged_coupling_table_exits_two_naming_the_field(tmp_path, capsys, conditional):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "model": {"cutpoints": [0.5], "segment_families": KPOINT_SEGMENTS,
+                  "hazards": [EXP_HAZARD], "joint_coupling": {"conditional": conditional}},
+        "out": str(tmp_path / "out.csv")})
+    rc, out, err = run_main(["piecewise", "--config", cfg], capsys)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "LengthMismatch"
+    assert payload["message"].startswith("joint_coupling conditional must be a rectangular table")
+    assert not (tmp_path / "out.csv").exists()
+
 class TestVerifyCommand:
     def test_single_criterion_report(self, tmp_path, capsys):
         rc, out, _ = run_main(["verify", "--only", "tail_limits",

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
-from frailty_shapes import _kernels
+from frailty_shapes import _io, _kernels
 from frailty_shapes.extensions import (
     ConstantFloor,
     CorrelatedPoissonModel,
@@ -15,6 +15,7 @@ from frailty_shapes.extensions import (
     ExpHalfSine,
     PiecewiseFrailtyModel,
     TimeVaryingShift,
+    _STREAM_CORRELATED,
     piecewise_rfv,
     piecewise_survivor_pmf,
     piecewise_tail,
@@ -24,6 +25,7 @@ from frailty_shapes.extensions import (
 )
 from frailty_shapes.families import support_table
 from frailty_shapes.oracle import _rfv_from_sums, rfv as oracle_rfv
+from frailty_shapes.simulate import _inverse_cdf, _philox
 
 EXP1 = fs.ExponentialRate(rate=1.0)
 LN2 = np.log(2.0)
@@ -501,3 +503,24 @@ def test_shift_paths_take_arrays():
         values = fn.value(lam)
         assert values.shape == lam.shape
         assert_allclose(values, [fn.value(float(x)) for x in lam], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, _io._BLOCK_ROWS - 1, _io._BLOCK_ROWS, _io._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("w_dist", [fs.GammaFrailty(mean=1.0, variance=0.5),
+                                    fs.KPoint(support=(0.5, 1.5), probs=(0.3, 0.7))],
+                         ids=["gamma", "kpoint"])
+def test_correlated_chunks_reproduce_the_one_shot_draw(n, w_dist):
+    m = CorrelatedPoissonModel(etas=(1.0, 2.0), w_dist=w_dist, hazards=(EXP1, EXP1))
+    # the one-shot draw: all n mixer values, then the (n, J) Poisson matrix
+    rng = _philox(99, _STREAM_CORRELATED)
+    if isinstance(w_dist, fs.GammaFrailty):
+        w = rng.gamma(2.0, 0.5, size=n)
+    else:
+        table = support_table(w_dist)
+        w = table.z[_inverse_cdf(table, rng.random(n))]
+    want = rng.poisson(w[:, None] * np.array([1.0, 2.0])[None, :])
+    chunks = list(m._draw_chunks(n, 99))
+    assert all(c.shape[0] <= _io._BLOCK_ROWS for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), want)
+    got = m.sample(n, seed=99)
+    assert got.dtype == np.float64 and np.array_equal(got, want)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -367,9 +367,13 @@ def test_support_table_sums_to_laplace(fam):
 
 
 @given(families_st, st.floats(0.0, 6.0), st.floats(0.01, 4.0))
+@example(_zero_modified(4.0, 0.9375), 6.0, 0.015625)
 def test_laplace_second_derivative_consistent(fam, s, h_scale):
-    # symmetric-difference check that l1 really is dL/ds
-    h = 1e-6 * h_scale
+    # symmetric-difference check that l1 really is dL/ds.  h spans
+    # [5e-7, 2e-4]: rounding in L(s +- h) adds ~eps L / h <= 2.2e-10, under
+    # atol, and the h^2 L''' / 6 truncation of the widest family drawn
+    # (NegBin pi = 0.05, nu = 6, mean 114) stays under 10% of the tolerance.
+    h = 5e-5 * h_scale
     lo = laplace(fam, max(s - h, 0.0))
     hi = laplace(fam, s + h)
     if s - h < 0.0:

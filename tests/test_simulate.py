@@ -13,12 +13,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
-from frailty_shapes import _io
+from frailty_shapes import _io, _kernels
 from frailty_shapes.cli import main
 from frailty_shapes.families import support_table
 from frailty_shapes.simulate import (
     SimConfig,
+    _crf_estimate,
     _philox,
+    _rfv_estimate,
+    _tally,
     empirical_crf,
     empirical_rfv,
     population_survival,
@@ -290,3 +293,73 @@ class TestChunkedDraws:
 
         peak(B)  # build the support table outside the trace
         assert abs(peak(1_000_000) - peak(200_000)) < 2**20
+
+
+def _outcome(estimate, *args):
+    """An estimate, or the type and message of the error it raised."""
+    try:
+        return estimate(*args)
+    except fs.FrailtyModelError as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamedCounts:
+    """The count step taken chunk by chunk gives the counts, estimates and
+    errors of the in-memory sample bit for bit."""
+
+    TIMES = (0.0, 0.4, 1.3, 6.0)
+    # (t, j, j_prime, window) queries; the third target, when present,
+    # must survive its time for a cluster to enter the table
+    QUERIES = (((0.3, 0.5, 0.2), 0, 1, 0.05), ((0.3, 0.5, 0.2), 1, 0, 0.05),
+               ((0.6, 0.1, 0.4), 0, 1, 0.2), ((0.3, 0.5, 0.2), 0, 1, 1e-12))
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_counts_and_estimates_match_the_sample(self, n, j):
+        cfg = _cfg(hazards=(EXP1, PIECEWISE, EXP1)[:j], n_clusters=n, seed=23)
+        s = simulate(cfg)
+        alive = [np.full(j, t) for t in self.TIMES]
+        queries = [(np.asarray(t[:j]), a, b, w) for t, a, b, w in self.QUERIES if j > 1]
+        cured, values, cells = _tally(cfg, alive, queries)
+
+        assert cured == np.count_nonzero(s.z == 0.0) and cured / n == s.cure_fraction()
+        for t, counts in zip(alive, values):
+            mask = (s.times > t[None, :]).all(axis=1)
+            assert np.array_equal(counts, np.bincount(s.codes[mask], minlength=s.support.size))
+            assert int(counts.sum()) == population_survival(s, t).n_at_risk
+            assert int(counts.sum()) / n == population_survival(s, t).estimate
+            assert _outcome(_rfv_estimate, cfg, counts, t) == _outcome(empirical_rfv, s, t)
+        for (t, a, b, w), table in zip(queries, cells):
+            others = [q for q in range(j) if q not in (a, b)]
+            keep = (s.times[:, others] > t[others][None, :]).all(axis=1)
+            want = _kernels.crf_cell_counts(s.times[keep, a], s.times[keep, b], t[a], t[b], w)
+            assert np.array_equal(table, want)
+            assert (_outcome(_crf_estimate, cfg, table, t, w)
+                    == _outcome(empirical_crf, s, t, a, b, w))
+        if j > 1:
+            # the swapped pair's table is the transpose
+            assert np.array_equal(cells[1], cells[0].reshape(3, 3).T.ravel())
+
+    def test_small_samples_raise_the_same_errors(self):
+        cfg = _cfg(hazards=(EXP1, EXP1), n_clusters=B + 1, seed=3)
+        s = simulate(cfg)
+        _, values, cells = _tally(cfg, [(50.0, 50.0)], [((0.5, 0.5), 0, 1, 1e-12)])
+        t = np.array([50.0, 50.0])
+        for got, want in ((_outcome(_rfv_estimate, cfg, values[0], t),
+                           _outcome(empirical_rfv, s, t)),
+                          (_outcome(_crf_estimate, cfg, cells[0], np.array([0.5, 0.5]), 1e-12),
+                           _outcome(empirical_crf, s, (0.5, 0.5), 0, 1, 1e-12))):
+            assert got == want and got[0] in (fs.TooFewAtRisk, fs.EmptyWindow,
+                                              fs.DegenerateConditional)
+        one = _cfg(n_clusters=1, seed=3)
+        _, values, _ = _tally(one, [(0.0,)])
+        assert _outcome(_rfv_estimate, one, values[0], np.array([0.0]))[0] is fs.TooFewAtRisk
+
+    def test_queries_are_checked_before_the_sink_runs(self):
+        def sink(chunks):
+            raise AssertionError("sink called")
+
+        with pytest.raises(fs.ParameterOutOfRange):
+            _tally(_cfg(hazards=(EXP1, EXP1)), crf_queries=[((0.5, 0.5), 0, 0, 0.05)], sink=sink)
+        with pytest.raises(fs.LengthMismatch):
+            _tally(_cfg(), alive_times=[(0.5, 0.5)], sink=sink)
