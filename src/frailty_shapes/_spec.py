@@ -1,4 +1,4 @@
-"""The one reader of JSON specs.
+"""The one reader of JSON specs, and the input rules the package shares.
 
 Config files and family, hazard and shift specs reach the package only
 through :func:`read`, which checks each key by its kind: numbers finite and
@@ -6,6 +6,9 @@ not ``bool``, integers integral, lists of finite numbers, every required key
 present and no unknown key given.  A violation raises
 :class:`ParameterOutOfRange` naming the field.  Values pass on unchanged
 (lists as tuples), so an echoed spec keeps its bytes.
+
+The rules that constructors and functions also apply to their arguments
+live here once: :func:`integer`, :func:`positive` and :func:`target_pair`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .errors import ParameterOutOfRange
 
 
 def _is_integral(x) -> bool:
-    return isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer()
+    return not isinstance(x, bool) and (
+        isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer())
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -31,6 +35,31 @@ def _need(ok, name, want, value):
     return value
 
 
+def integer(value, name, positive=False) -> int:
+    """``value`` as an ``int``; raises unless it is integral (a ``bool`` is
+    not) and, if ``positive``, at least 1."""
+    want = "a positive integer" if positive else "an integer"
+    _require(_is_integral(value) and (not positive or value >= 1),
+             f"{name} must be {want}, got {value}")
+    return int(value)
+
+
+def positive(value, name):
+    """``value`` unchanged; raises unless it is positive and finite."""
+    # a comparison, not math.isfinite, which overflows on a huge int
+    _require(0.0 < value <= sys.float_info.max, f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def target_pair(j, j_prime, n) -> tuple:
+    """``(j, j_prime)`` as ints; raises unless they are two distinct target
+    indices in ``[0, n)``."""
+    _require(_is_integral(j) and _is_integral(j_prime) and j != j_prime
+             and 0 <= j < n and 0 <= j_prime < n,
+             f"need two distinct target indices in [0, {n}), got {j}, {j_prime}")
+    return int(j), int(j_prime)
+
+
 def _number(value, name):
     # a comparison, not math.isfinite, which overflows on a huge int
     return _need(not isinstance(value, bool) and isinstance(value, numbers.Real)
@@ -41,7 +70,7 @@ def _number(value, name):
 #: ``str``, ``dict`` and ``array`` (a finite number or a list of arrays).
 KINDS = {
     "float": _number,
-    "int": lambda v, name: int(_need(_is_integral(_number(v, name)), name, "an integer", v)),
+    "int": lambda v, name: integer(_number(v, name), name),
     "tuple": lambda v, name: _check(["float"], v, name),
     "Optional[float]": lambda v, name: None if v is None else _number(v, name),
     "str": lambda v, name: _need(isinstance(v, str), name, "a string", v),

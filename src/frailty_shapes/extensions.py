@@ -8,7 +8,9 @@ Three constructions reuse the same Laplace-transform machinery:
   survivor function is W's Laplace transform evaluated at
   ``d(t) = sum_j eta_j (1 - exp(-H_j(t_j)))`` and the cross-ratio becomes a
   function of ``d`` alone.  The cross-ratio here is no longer ``1 + RFV`` of
-  any single frailty, so the API exposes only ``correlated_crf``.
+  any single frailty: the model gives it as ``crf_of_d`` (or at a time
+  vector, ``correlated_crf``), beside ``d_of_t``, ``joint_survival``,
+  ``frailty_correlation`` and the joint draws of ``sample``.
 * :class:`PiecewiseFrailtyModel` -- the acting frailty is redrawn (or carried
   over) at fixed calendar cutpoints; segments may be independent, identical
   copies, or coupled through an explicit conditional table.
@@ -30,7 +32,6 @@ from .errors import (
     DegenerateDistribution,
     DivisionNearZero,
     LengthMismatch,
-    ParameterOutOfRange,
     TimeBeforeFinalSegment,
     UnsupportedFamily,
 )
@@ -49,7 +50,7 @@ from .families import (
 )
 from .oracle import SurvivorPmf, _normalised, _rfv_from_sums, rfv as oracle_rfv, survivor_pmf
 from .shapes import classify_tail, crf_at
-from .hazards import _check_time_vector
+from .hazards import _check_hazards, _check_time_vector
 from .simulate import _inverse_cdf, _philox
 
 _STREAM_CORRELATED = 3
@@ -74,7 +75,7 @@ class CorrelatedPoissonModel:
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "hazards", tuple(self.hazards))
+        object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         validate(self.w_dist)
         if len(self.etas) < 2:
             raise LengthMismatch("need at least two targets for a correlated model")
@@ -82,8 +83,8 @@ class CorrelatedPoissonModel:
             raise LengthMismatch(
                 f"{len(self.hazards)} hazards for {len(self.etas)} rate multipliers"
             )
-        if any(not e > 0.0 or not math.isfinite(e) for e in self.etas):
-            raise ParameterOutOfRange(f"rate multipliers must be positive, got {self.etas}")
+        for e in self.etas:
+            _spec.positive(e, "rate multipliers")
         mean, _ = moments(self.w_dist)
         if not mean > 0.0:
             raise DegenerateDistribution("mixing variable must have positive mean")
@@ -108,11 +109,7 @@ class CorrelatedPoissonModel:
 
     def frailty_correlation(self, j: int, j_prime: int) -> float:
         """corr(Z^(j), Z^(j')) induced by the shared mixer."""
-        k = len(self.etas)
-        if j == j_prime or not (0 <= j < k and 0 <= j_prime < k):
-            raise ParameterOutOfRange(
-                f"need two distinct target indices in [0, {k}), got {j}, {j_prime}"
-            )
+        j, j_prime = _spec.target_pair(j, j_prime, len(self.etas))
         mean, var = moments(self.w_dist)
         ra, rb = self.etas[j], self.etas[j_prime]
         num = var * math.sqrt(ra * rb)
@@ -121,8 +118,7 @@ class CorrelatedPoissonModel:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw n joint frailty vectors, shape (n, J)."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ParameterOutOfRange(f"n must be a positive integer, got {n}")
+        n, seed = _spec.integer(n, "n", positive=True), _spec.integer(seed, "seed")
         return np.concatenate(list(self._draw_chunks(n, seed))).astype(np.float64)
 
     def _draw_chunks(self, n: int, seed: int):
@@ -200,14 +196,12 @@ class PiecewiseFrailtyModel:
     def __post_init__(self):
         object.__setattr__(self, "cutpoints", tuple(float(c) for c in self.cutpoints))
         object.__setattr__(self, "segment_families", tuple(self.segment_families))
-        object.__setattr__(self, "hazards", tuple(self.hazards))
+        object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         if len(self.segment_families) != len(self.cutpoints) + 1:
             raise LengthMismatch(
                 f"{len(self.segment_families)} segment families need "
                 f"{len(self.segment_families) - 1} cutpoints, got {len(self.cutpoints)}"
             )
-        if len(self.hazards) < 1:
-            raise LengthMismatch("at least one hazard is required")
         for fam in self.segment_families:
             validate(fam)
         cuts = self.cutpoints
@@ -319,10 +313,7 @@ class _Path:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            _require(value > 0.0 and math.isfinite(value),
-                     f"{f.name} must be positive, got {value}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, float(_spec.positive(getattr(self, f.name), f.name)))
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,7 @@ class NegBin:
 
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0, f"NegBin pi must lie in (0, 1), got {self.pi}")
-        _require(self.nu > 0.0 and math.isfinite(self.nu),
-                 f"NegBin nu must be positive and finite, got {self.nu}")
+        _spec.positive(self.nu, "NegBin nu")
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,7 @@ class NegBinPositive:
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0,
                  f"NegBinPositive pi must lie in (0, 1), got {self.pi}")
-        _require(_spec._is_integral(self.nu) and self.nu >= 1,
-                 f"NegBinPositive nu must be a positive integer, got {self.nu}")
-        object.__setattr__(self, "nu", int(self.nu))
+        object.__setattr__(self, "nu", _spec.integer(self.nu, "NegBinPositive nu", positive=True))
 
 
 @dataclass(frozen=True)
@@ -92,9 +89,7 @@ class Binomial:
 
     def __post_init__(self):
         _require(0.0 < self.pi < 1.0, f"Binomial pi must lie in (0, 1), got {self.pi}")
-        _require(_spec._is_integral(self.n) and self.n >= 1,
-                 f"Binomial n must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _spec.integer(self.n, "Binomial n", positive=True))
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,7 @@ class Poisson:
     eta: float
 
     def __post_init__(self):
-        _require(self.eta > 0.0 and math.isfinite(self.eta),
-                 f"Poisson eta must be positive and finite, got {self.eta}")
+        _spec.positive(self.eta, "Poisson eta")
 
 
 @dataclass(frozen=True)
@@ -137,8 +131,7 @@ class ZeroModifiedPoisson:
     phi: float
 
     def __post_init__(self):
-        _require(self.eta > 0.0 and math.isfinite(self.eta),
-                 f"ZeroModifiedPoisson eta must be positive and finite, got {self.eta}")
+        _spec.positive(self.eta, "ZeroModifiedPoisson eta")
         # phi < exp(eta) keeps the zero-class probability below one; compare in
         # the downscaled form so large eta cannot overflow.
         _require(self.phi >= 0.0 and self.phi * math.exp(-self.eta) < 1.0,
@@ -158,8 +151,7 @@ class Addams:
 
     def __post_init__(self):
         _require(math.isfinite(self.alpha), f"Addams alpha must be finite, got {self.alpha}")
-        _require(self.gamma > 0.0 and math.isfinite(self.gamma),
-                 f"Addams gamma must be positive and finite, got {self.gamma}")
+        _spec.positive(self.gamma, "Addams gamma")
 
 
 @dataclass(frozen=True)
@@ -204,10 +196,8 @@ class GammaFrailty:
     variance: float
 
     def __post_init__(self):
-        _require(self.mean > 0.0 and math.isfinite(self.mean),
-                 f"GammaFrailty mean must be positive and finite, got {self.mean}")
-        _require(self.variance > 0.0 and math.isfinite(self.variance),
-                 f"GammaFrailty variance must be positive and finite, got {self.variance}")
+        _spec.positive(self.mean, "GammaFrailty mean")
+        _spec.positive(self.variance, "GammaFrailty variance")
 
 
 FrailtyFamily = Union[
@@ -292,9 +282,15 @@ def _zmp_scale(family: ZeroModifiedPoisson) -> float:
     return (1.0 - family.phi * math.exp(-family.eta)) / -math.expm1(-family.eta)
 
 
-def _as_shifted(family: NegBinPositive) -> Shifted:
-    """NegBinPositive(pi, nu) is NegBin(pi, nu) moved up by nu."""
-    return Shifted(inner=NegBin(pi=family.pi, nu=family.nu), p=float(family.nu))
+def _unshift(family: FrailtyFamily) -> tuple:
+    """``(p, base)`` with ``family`` the family ``base`` moved up by ``p``:
+    NegBinPositive(pi, nu) is NegBin(pi, nu) moved up by nu, and Shifted is
+    its inner family moved up by p.  Any other family is its own base."""
+    if isinstance(family, NegBinPositive):
+        return float(family.nu), NegBin(pi=family.pi, nu=family.nu)
+    if isinstance(family, Shifted):
+        return family.p, family.inner
+    return 0.0, family
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
@@ -331,10 +327,9 @@ def pmf(family: FrailtyFamily, z: float) -> float:
         )
     if z < 0.0:
         return 0.0
-    if isinstance(family, NegBinPositive):
-        family = _as_shifted(family)
-    if isinstance(family, Shifted):
-        return pmf(family.inner, z - family.p)
+    p, base = _unshift(family)
+    if base is not family:
+        return pmf(base, z - p)
     if isinstance(family, KPoint):
         for zk, pk in zip(family.support, family.probs):
             if abs(z - zk) <= _LATTICE_TOL:
@@ -371,13 +366,12 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
         raise UnsupportedFamily(
             f"{type(family).__name__} has no probability mass function"
         )
-    if isinstance(family, NegBinPositive):
-        family = _as_shifted(family)
+    p, base = _unshift(family)
+    if base is not family:
+        inner = support_table(base, tail)
+        return SupportTable(inner.z + p, inner.pmf, inner.tail_mass)
     if isinstance(family, KPoint):
         return SupportTable(np.asarray(family.support), np.asarray(family.probs), 0.0)
-    if isinstance(family, Shifted):
-        inner = support_table(family.inner, tail)
-        return SupportTable(inner.z + family.p, inner.pmf, inner.tail_mass)
     # Evaluate out past the mode to a point below e^-46 (~1e-20) times the
     # tail, beyond which nothing can move the truncation or the tail mass.
     mean, var = moments(family)
@@ -397,12 +391,11 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
 
 def min_support(family: FrailtyFamily) -> float:
     """Smallest support point z_(1); raises for families without one (gamma)."""
+    p, base = _unshift(family)
+    if base is not family:
+        return p + min_support(base)
     if isinstance(family, (NegBin, Binomial, Poisson)):
         return 0.0
-    if isinstance(family, NegBinPositive):
-        family = _as_shifted(family)
-    if isinstance(family, Shifted):
-        return family.p + min_support(family.inner)
     if isinstance(family, ZeroModifiedPoisson):
         return 0.0 if family.phi > 0.0 else 1.0
     if isinstance(family, KPoint):
@@ -435,8 +428,10 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
     moments do, however far ``L`` itself has underflowed.  Entries the moments
     cannot represent come out inf or nan, without a warning.
     """
-    if isinstance(family, NegBinPositive):
-        family = _as_shifted(family)
+    p, base = _unshift(family)
+    if base is not family:
+        log_l, mean, var = _survivor_triple(base, s)
+        return log_l - p * s, mean + p, var
     if isinstance(family, NegBin):
         qe = (1.0 - family.pi) * np.exp(-s)
         r = qe / (1.0 - qe)
@@ -451,9 +446,6 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
     if isinstance(family, Poisson):
         x = family.eta * np.exp(-s)
         return family.eta * np.expm1(-s), x, x
-    if isinstance(family, Shifted):
-        log_l, mean, var = _survivor_triple(family.inner, s)
-        return log_l - family.p * s, mean + family.p, var
     if isinstance(family, ZeroModifiedPoisson):
         # Survivors put weight phi on 0 and amp x^k / k! on k >= 1, relative
         # to e^-eta.  Every sum is scaled by e^-x so none overflows, and

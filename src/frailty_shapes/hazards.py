@@ -36,8 +36,7 @@ class ExponentialRate:
     rate: float
 
     def __post_init__(self):
-        _require(self.rate > 0.0 and math.isfinite(self.rate),
-                 f"exponential rate must be positive and finite, got {self.rate}")
+        _spec.positive(self.rate, "exponential rate")
 
     def cumulative(self, t):
         return _float_if_scalar(self.rate * _as_float_array(t))
@@ -54,10 +53,8 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        _require(self.shape > 0.0 and math.isfinite(self.shape),
-                 f"Weibull shape must be positive and finite, got {self.shape}")
-        _require(self.scale > 0.0 and math.isfinite(self.scale),
-                 f"Weibull scale must be positive and finite, got {self.scale}")
+        _spec.positive(self.shape, "Weibull shape")
+        _spec.positive(self.scale, "Weibull scale")
 
     def cumulative(self, t):
         return _float_if_scalar((_as_float_array(t) / self.scale) ** self.shape)
@@ -87,8 +84,7 @@ class PiecewiseConstant:
             _require(b > prev and math.isfinite(b), "breakpoints must be positive, finite "
                      f"and strictly increasing, got {breakpoints}")
         for r in rates:
-            _require(r > 0.0 and math.isfinite(r),
-                     f"piecewise rates must be positive and finite, got {r}")
+            _spec.positive(r, "piecewise rates")
 
     def _tables(self):
         edges = np.concatenate(([0.0], np.asarray(self.breakpoints)))
@@ -135,10 +131,24 @@ _HAZARD_TAGS = {ExponentialRate: "exponential", Weibull: "weibull",
                 PiecewiseConstant: "piecewise"}
 
 
-def hazard_to_dict(hazard: BaselineHazard) -> dict:
+def _hazard_tag(hazard) -> str:
     tag = _HAZARD_TAGS.get(type(hazard))
     _require(tag is not None, f"not a baseline hazard: {hazard!r}")
-    return {"hazard": tag, "params": _spec.dump(hazard)}
+    return tag
+
+
+def _check_hazards(hazards) -> tuple:
+    """``hazards`` as a tuple of at least one tagged baseline hazard."""
+    hazards = tuple(hazards)
+    if not hazards:
+        raise LengthMismatch("at least one hazard is required")
+    for hazard in hazards:
+        _hazard_tag(hazard)
+    return hazards
+
+
+def hazard_to_dict(hazard: BaselineHazard) -> dict:
+    return {"hazard": _hazard_tag(hazard), "params": _spec.dump(hazard)}
 
 
 def hazard_from_dict(spec: dict) -> BaselineHazard:

@@ -21,11 +21,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from . import _io, _kernels
+from . import _io, _kernels, _spec
 from .errors import ParameterOutOfRange, UnsupportedFamily
 from .families import (
     Addams,
@@ -268,9 +266,7 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     local minima of |RFV'| and refined on the derivative of RFV'.  Each
     stage refines all of its brackets together.
     """
-    lambda_max = float(lambda_max)
-    if not (np.isfinite(lambda_max) and lambda_max > 0.0):
-        raise ParameterOutOfRange(f"lambda_max must be positive, got {lambda_max}")
+    lambda_max = _spec.positive(float(lambda_max), "lambda_max")
     if classify_tail(family) is TailClass.CONSTANT:
         return ()  # constant RFV: no isolated stationary points
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
@@ -357,10 +353,10 @@ def curve_sidecar(shape: ShapeCurve) -> dict:
     }
 
 
-def write_curve(shape: ShapeCurve, csv_path, sidecar_path: Optional[str] = None) -> None:
-    """Write the CSV and its JSON sidecar (default: same stem, .json)."""
+def write_curve(shape: ShapeCurve, csv_path) -> None:
+    """Write the CSV and its JSON sidecar (same stem, .json)."""
     curve_to_csv(shape, csv_path)
-    _io.write_json(sidecar_path or _io.sidecar_path(csv_path), curve_sidecar(shape))
+    _io.write_json(_io.sidecar_path(csv_path), curve_sidecar(shape))
 
 
 #: Built-in eight-point example supports and weights for the k-point family.

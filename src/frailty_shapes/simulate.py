@@ -24,21 +24,16 @@ hold one chunk whatever ``n_clusters`` is.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence, NamedTuple
+from typing import Optional, NamedTuple
 
 import numpy as np
 
-from . import _io, _kernels
-from .errors import (
-    DegenerateConditional,
-    EmptyWindow,
-    LengthMismatch,
-    ParameterOutOfRange,
-    TooFewAtRisk,
-)
+from . import _io, _kernels, _spec
+from .errors import DegenerateConditional, EmptyWindow, LengthMismatch, TooFewAtRisk
 from .families import FrailtyFamily, family_to_dict, support_table
-from .hazards import _check_time_vector, hazard_to_dict
+from .hazards import _check_hazards, _check_time_vector, hazard_to_dict
 
 #: Estimators refuse to run on fewer at-risk clusters than this.
 MIN_AT_RISK = 30
@@ -74,17 +69,12 @@ class SimConfig:
     censor_time: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hazards", tuple(self.hazards))
-        if len(self.hazards) < 1:
-            raise LengthMismatch("at least one hazard is required")
-        if not isinstance(self.n_clusters, (int, np.integer)) or self.n_clusters < 1:
-            raise ParameterOutOfRange(
-                f"n_clusters must be a positive integer, got {self.n_clusters}"
-            )
-        if self.censor_time is not None and not self.censor_time > 0.0:
-            raise ParameterOutOfRange(
-                f"censor_time must be positive, got {self.censor_time}"
-            )
+        object.__setattr__(self, "hazards", _check_hazards(self.hazards))
+        object.__setattr__(self, "n_clusters",
+                           _spec.integer(self.n_clusters, "n_clusters", positive=True))
+        object.__setattr__(self, "seed", _spec.integer(self.seed, "seed"))
+        if self.censor_time is not None:
+            _spec.positive(self.censor_time, "censor_time")
 
 
 @dataclass(frozen=True)
@@ -208,17 +198,11 @@ def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
 
 def _crf_query(config: SimConfig, t, j: int, j_prime: int, window: float) -> tuple:
     """The checked cross-ratio query ``(t, j, j_prime, window)``."""
-    jn = len(config.hazards)
-    if jn < 2:
+    if len(config.hazards) < 2:
         raise LengthMismatch("the cross-ratio needs at least two targets")
-    if j == j_prime or not (0 <= j < jn and 0 <= j_prime < jn):
-        raise ParameterOutOfRange(
-            f"need two distinct target indices in [0, {jn}), got {j}, {j_prime}"
-        )
+    j, j_prime = _spec.target_pair(j, j_prime, len(config.hazards))
     t = _check_time_vector(config.hazards, t)
-    if not window > 0.0:
-        raise ParameterOutOfRange(f"window must be positive, got {window}")
-    return t, j, j_prime, window
+    return t, j, j_prime, _spec.positive(window, "window")
 
 
 def _crf_cells(times: np.ndarray, query: tuple) -> np.ndarray:

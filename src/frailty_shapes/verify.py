@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,9 +61,6 @@ class Check:
     passed: bool
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"label": self.label, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -71,14 +68,6 @@ class CriterionResult:
     passed: bool
     seconds: float
     checks: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": self.seconds,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
 
 def _close(label: str, value: float, target: float, tol: float) -> Check:
@@ -97,10 +86,6 @@ def _above(label: str, value: float, bound: float) -> Check:
 
 def _is(label: str, cond: bool, detail: str) -> Check:
     return Check(label, bool(cond), detail)
-
-
-def _describe(family) -> str:
-    return repr(family)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +128,7 @@ def _crit_closed_form_vs_laplace() -> list:
         ratio = rfv_at(fam, _GRID)
         closed = rfv_closed_at(fam, _GRID)
         rel = float(np.max(np.abs(ratio - closed) / np.abs(closed)))
-        checks.append(_below(f"rel err {_describe(fam)}", rel, 1e-9))
+        checks.append(_below(f"rel err {fam!r}", rel, 1e-9))
     return checks
 
 
@@ -154,7 +139,7 @@ def _crit_oracle_equivalence() -> list:
         ratio = rfv_at(fam, _GRID)
         brute = oracle.rfv(fam, _GRID)
         rel = float(np.max(np.abs(ratio - brute) / np.abs(brute)))
-        checks.append(_below(f"rel err {_describe(fam)}", rel, 1e-8))
+        checks.append(_below(f"rel err {fam!r}", rel, 1e-8))
     return checks
 
 
@@ -183,15 +168,15 @@ def _crit_tail_limits() -> list:
     )
     for fam in zero_atom:
         growth = rfv_at(fam, 25.0) / rfv_at(fam, 0.0)
-        checks.append(_above(f"rfv(25)/rfv(0) {_describe(fam)}", growth, 1e4))
+        checks.append(_above(f"rfv(25)/rfv(0) {fam!r}", growth, 1e4))
         if not isinstance(fam, Addams):
             g0 = float(oracle.smallest_point_prob_grid(fam, np.array([50.0]))[0])
-            checks.append(_above(f"g(0 | 50) {_describe(fam)}", g0, 1.0 - 1e-10))
+            checks.append(_above(f"g(0 | 50) {fam!r}", g0, 1.0 - 1e-10))
     for fam in positive_min:
-        checks.append(_below(f"rfv(40) {_describe(fam)}", rfv_at(fam, 40.0), 1e-8))
+        checks.append(_below(f"rfv(40) {fam!r}", rfv_at(fam, 40.0), 1e-8))
         if not isinstance(fam, Addams):
             mean = oracle.survivor_moment(fam, 60.0, 1)
-            checks.append(_close(f"survivor mean(60) {_describe(fam)}",
+            checks.append(_close(f"survivor mean(60) {fam!r}",
                                  mean, min_support(fam), 1e-6))
     return checks
 
@@ -207,10 +192,10 @@ def _crit_stationary_points() -> list:
     for fam, where in targets:
         pts = stationary_points(fam, 8.0)
         ok = len(pts) == 1 and pts[0].kind == "max"
-        checks.append(_is(f"single max {_describe(fam)}", ok,
+        checks.append(_is(f"single max {fam!r}", ok,
                           f"points={[(p.lam, p.kind) for p in pts]}"))
         if pts:
-            checks.append(_close(f"location {_describe(fam)}",
+            checks.append(_close(f"location {fam!r}",
                                  pts[0].lam, where, 1e-10))
 
     zmp = ZeroModifiedPoisson(eta=3.0, phi=0.05)
@@ -265,11 +250,11 @@ def _crit_mc_selection() -> list:
         for t, counts in zip(times, values):
             est = _rfv_estimate(config, counts, [t])
             target = rfv_at(fam, t)
-            checks.append(_close(f"rfv {_describe(fam)} t={t}", est.estimate,
+            checks.append(_close(f"rfv {fam!r} t={t}", est.estimate,
                                  target, 3.0 * est.std_error))
             l0 = laplace(fam, t).l0
             se = math.sqrt(l0 * (1.0 - l0) / n)
-            checks.append(_close(f"survival {_describe(fam)} t={t}",
+            checks.append(_close(f"survival {fam!r} t={t}",
                                  int(counts.sum()) / n, l0, 3.0 * se))
     return checks
 
@@ -519,34 +504,33 @@ CRITERIA = {
 }
 
 
-def run_criterion(name: str) -> CriterionResult:
+def _criterion(name: str):
+    """The criterion called ``name``; raises unless :data:`CRITERIA` has it."""
     if name not in CRITERIA:
         raise ParameterOutOfRange(
             f"unknown criterion {name!r}; expected one of {sorted(CRITERIA)}"
         )
+    return CRITERIA[name]
+
+
+def run_criterion(name: str) -> CriterionResult:
+    criterion = _criterion(name)
     start = time.perf_counter()
-    checks = tuple(CRITERIA[name]())
+    checks = tuple(criterion())
     seconds = time.perf_counter() - start
     return CriterionResult(name=name, passed=all(c.passed for c in checks),
                            seconds=round(seconds, 3), checks=checks)
 
 
 def run_all(only: Optional[list] = None) -> list:
-    """Run all (or the named subset of) criteria, in declaration order."""
-    if only is None:
-        names = list(CRITERIA)
-    else:
-        names = [only] if isinstance(only, str) else list(only)
-        for name in names:
-            if name not in CRITERIA:
-                raise ParameterOutOfRange(
-                    f"unknown criterion {name!r}; expected one of {sorted(CRITERIA)}"
-                )
+    """Run all criteria, or those named in the list ``only`` in its order;
+    every name is checked before any criterion runs."""
+    names = list(CRITERIA) if only is None else list(only)
+    for name in names:
+        _criterion(name)
     return [run_criterion(name) for name in names]
 
 
 def report(results: list) -> dict:
-    return {
-        "passed": all(r.passed for r in results),
-        "criteria": [r.as_dict() for r in results],
-    }
+    return {"passed": all(r.passed for r in results),
+            "criteria": [asdict(r) for r in results]}

@@ -124,13 +124,26 @@ class TestPmf:
         for k in (0, 1, 5):
             assert_allclose(pmf(fam, float(2 + k)), base.pmf(k), rtol=1e-12)
         assert pmf(fam, 1.0) == 0.0  # support starts at nu
-        # its support table is NegBin's moved up by nu, bit for bit
+        # its support table is NegBin's moved up by nu, and pmf, the support
+        # table, min_support and the survivor triple all give the bits of
+        # Shifted(NegBin(pi, nu), nu)
+        def bits(values):
+            return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+        s = np.linspace(0.0, 40.0, 81)
         for pi, nu in ((0.4, 2), (0.3, 4), (0.75, 1)):
-            moved = support_table(NegBinPositive(pi=pi, nu=nu))
+            positive = NegBinPositive(pi=pi, nu=nu)
+            shifted = Shifted(inner=NegBin(pi=pi, nu=nu), p=nu)
+            moved = support_table(positive)
             base_table = support_table(NegBin(pi=pi, nu=nu))
             assert np.array_equal(moved.z, base_table.z + nu)
             assert np.array_equal(moved.pmf, base_table.pmf)
             assert moved.tail_mass == base_table.tail_mass
+            assert bits(support_table(shifted)) == bits(moved)
+            zs = (0.0, nu - 1.0, float(nu), nu + 0.5, nu + 1.0, nu + 7.0)
+            assert bits(pmf(shifted, z) for z in zs) == bits(pmf(positive, z) for z in zs)
+            assert bits([min_support(shifted)]) == bits([min_support(positive)]) == bits([nu])
+            assert bits(_survivor_triple(shifted, s)) == bits(_survivor_triple(positive, s))
 
     def test_zero_modified_moves_mass_at_zero(self):
         eta, phi = 3.0, 0.05

@@ -1,0 +1,84 @@
+"""The input rules shared across the package: integers, positive and finite
+parameters, hazard lists and target pairs, each checked in one place.
+
+Every call below was accepted by an earlier version of the package, which
+then either ran on a silently converted value (a ``1.5`` or ``True`` seed drew
+the seed-1 sample) or failed later outside :class:`FrailtyModelError`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import frailty_shapes as fs
+from frailty_shapes.extensions import CorrelatedPoissonModel, PiecewiseFrailtyModel
+from frailty_shapes.simulate import SimConfig, empirical_crf, simulate
+
+EXP1 = fs.ExponentialRate(rate=1.0)
+POISSON2 = fs.Poisson(eta=2.0)
+
+
+def _config(**kw):
+    return SimConfig(**{"family": POISSON2, "hazards": (EXP1, EXP1), "n_clusters": 200,
+                        "seed": 1, **kw})
+
+
+def _correlated(**kw):
+    return CorrelatedPoissonModel(**{"etas": (1.0, 2.0), "hazards": (EXP1, EXP1),
+                                     "w_dist": fs.GammaFrailty(mean=1.0, variance=0.5), **kw})
+
+
+REJECTED = {
+    "seed 1.5": (lambda: _config(seed=1.5), "^seed must be an integer, got 1.5$"),
+    "seed True": (lambda: _config(seed=True), "^seed must be an integer, got True$"),
+    "n_clusters True": (lambda: _config(n_clusters=True),
+                        "^n_clusters must be a positive integer, got True$"),
+    "Binomial n True": (lambda: fs.Binomial(pi=0.3, n=True),
+                        "^Binomial n must be a positive integer, got True$"),
+    "NegBinPositive nu True": (lambda: fs.NegBinPositive(pi=0.3, nu=True),
+                               "^NegBinPositive nu must be a positive integer, got True$"),
+    "SimConfig hazard 'x'": (lambda: _config(hazards=("x",)),
+                             "^not a baseline hazard: 'x'$"),
+    "PiecewiseFrailtyModel hazard 'x'": (
+        lambda: PiecewiseFrailtyModel(cutpoints=(), segment_families=(POISSON2,),
+                                      hazards=("x",)),
+        "^not a baseline hazard: 'x'$"),
+    "CorrelatedPoissonModel hazard 'x'": (lambda: _correlated(hazards=(EXP1, "x")),
+                                          "^not a baseline hazard: 'x'$"),
+    "censor_time inf": (lambda: _config(censor_time=math.inf),
+                        "^censor_time must be positive and finite, got inf$"),
+    "window inf": (lambda: empirical_crf(simulate(_config()), (0.5, 0.5), 0, 1,
+                                         window=math.inf),
+                   "^window must be positive and finite, got inf$"),
+    "sample n True": (lambda: _correlated().sample(True, 1),
+                      "^n must be a positive integer, got True$"),
+    "sample seed 1.5": (lambda: _correlated().sample(5, 1.5),
+                        "^seed must be an integer, got 1.5$"),
+    "sample seed True": (lambda: _correlated().sample(5, True),
+                         "^seed must be an integer, got True$"),
+}
+
+
+@pytest.mark.parametrize("call,message", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_with_the_rule_message(call, message):
+    with pytest.raises(fs.ParameterOutOfRange, match=message):
+        call()
+
+
+@pytest.mark.parametrize("n", [5.0, np.int64(5)], ids=["5.0", "np.int64(5)"])
+def test_integral_cluster_counts_are_stored_as_int(n):
+    config = _config(n_clusters=n, seed=np.int64(3))
+    assert type(config.n_clusters) is int and config.n_clusters == 5
+    assert type(config.seed) is int and config.seed == 3
+    assert np.array_equal(simulate(config).times, simulate(_config(n_clusters=5, seed=3)).times)
+
+
+@pytest.mark.parametrize("j,j_prime", [(0, 0), (1, 1), (0, 2), (-1, 1), (0.5, 1)])
+def test_target_pair_message_is_shared(j, j_prime):
+    with pytest.raises(fs.ParameterOutOfRange) as correlation:
+        _correlated().frailty_correlation(j, j_prime)
+    with pytest.raises(fs.ParameterOutOfRange) as cross_ratio:
+        empirical_crf(simulate(_config()), (0.5, 0.5), j, j_prime)
+    assert (str(correlation.value) == str(cross_ratio.value)
+            == f"need two distinct target indices in [0, 2), got {j}, {j_prime}")
