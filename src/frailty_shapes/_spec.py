@@ -8,7 +8,8 @@ present and no unknown key given.  A violation raises
 (lists as tuples), so an echoed spec keeps its bytes.
 
 The rules that constructors and functions also apply to their arguments
-live here once: :func:`integer`, :func:`positive` and :func:`target_pair`.
+live here once: :func:`integer`, :func:`seed`, :func:`positive`,
+:func:`number_list` and :func:`target_pair`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def integer(value, name, positive=False) -> int:
     return int(value)
 
 
+def seed(value) -> int:
+    """``value`` as an ``int``; raises unless it is an integer in ``[0, 2**64)``,
+    the key range of the Philox stream, so that no two seeds draw alike."""
+    value = integer(value, "seed")
+    _require(0 <= value < 2**64, f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def positive(value, name):
     """``value`` unchanged; raises unless it is positive and finite."""
     # a comparison, not math.isfinite, which overflows on a huge int
@@ -66,12 +75,17 @@ def _number(value, name):
                  and abs(value) <= sys.float_info.max, name, "a finite number", value)
 
 
+def number_list(value, name) -> tuple:
+    """``value`` as a tuple; raises unless it is a list of finite numbers."""
+    return _check(["float"], value, name)
+
+
 #: The check of each named kind: the dataclass field annotations, plus
 #: ``str``, ``dict`` and ``array`` (a finite number or a list of arrays).
 KINDS = {
     "float": _number,
     "int": lambda v, name: integer(_number(v, name), name),
-    "tuple": lambda v, name: _check(["float"], v, name),
+    "tuple": number_list,
     "Optional[float]": lambda v, name: None if v is None else _number(v, name),
     "str": lambda v, name: _need(isinstance(v, str), name, "a string", v),
     "dict": lambda v, name: _need(isinstance(v, dict), name, "a JSON object", v),

@@ -4,7 +4,9 @@ Every subcommand reads one JSON config (``--config``), writes CSV/JSON
 outputs, and exits 0 on success, 1 when the verification suite fails, or 2
 on a bad config (with a machine-readable ``{"error", "message"}`` JSON line
 on stderr).  Outputs carry 17 significant digits and LF line endings, and
-contain no timestamps, so reruns are byte-identical.
+contain no timestamps, so reruns are byte-identical.  Each handler imports
+the modules it runs when it runs, so ``--help`` loads no numpy and a
+``curve`` job never loads the simulation or verification code.
 
 Subcommands
 -----------
@@ -25,28 +27,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import _spec
-from ._io import row_blocks, sidecar_path, write_csv, write_json
 from .errors import FrailtyModelError, ParameterOutOfRange
-from .families import family_from_dict, family_to_dict
-from .hazards import hazard_from_dict, hazard_to_dict
-from . import oracle as oracle_mod
-from .shapes import curve, rfv_at, write_curve, KPOINT_EXAMPLES
-from .simulate import SimConfig, _write_simulation
-from .extensions import (
-    CouplingTable,
-    CorrelatedPoissonModel,
-    PiecewiseFrailtyModel,
-    TimeVaryingShift,
-    piecewise_rfv,
-    piecewise_tail,
-    shift_from_dict,
-    shift_to_dict,
-    timevarying_shift_rfv,
-)
-from .verify import report, run_all
 
 
 def _load_config(path, kinds, optional=()) -> dict:
@@ -60,7 +42,9 @@ def _load_config(path, kinds, optional=()) -> dict:
 _GRID_OUT = {"grid": "dict", "out": "str"}
 
 
-def _grid_from(spec) -> np.ndarray:
+def _grid_from(spec):
+    import numpy as np
+
     grid = _spec.read(spec, "grid", {"start": "float", "stop": "float", "points": "int"})
     start, stop, points = float(grid["start"]), float(grid["stop"]), grid["points"]
     if start < 0.0 or stop <= start or points < 2:
@@ -75,6 +59,9 @@ def _out_path(cfg, args) -> str:
 
 
 def _cmd_curve(args) -> int:
+    from .families import family_from_dict
+    from .shapes import curve, write_curve
+
     cfg = _load_config(args.config, {"family": family_from_dict, **_GRID_OUT}, _GRID_OUT)
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 5.0, "points": 101}))
     write_curve(curve(cfg["family"], grid), _out_path(cfg, args))
@@ -82,6 +69,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
+    from .shapes import KPOINT_EXAMPLES, curve, write_curve
+
     kinds = {"grid": "dict", "out_dir": "str"}  # all optional
     cfg = _load_config(args.config, kinds, kinds) if args.config else {}
     out_dir = args.out or cfg.get("out_dir", ".")
@@ -92,10 +81,17 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import numpy as np
+
+    from . import oracle
+    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from .families import family_from_dict, family_to_dict
+    from .shapes import rfv_at
+
     cfg = _load_config(args.config, {"family": family_from_dict, **_GRID_OUT}, _GRID_OUT)
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 41}))
     ratio = rfv_at(cfg["family"], grid)
-    brute = oracle_mod.rfv(cfg["family"], grid)
+    brute = oracle.rfv(cfg["family"], grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
     out = _out_path(cfg, args)
     write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
@@ -107,31 +103,33 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _sim_config_from(cfg, seed_override) -> SimConfig:
+def _cmd_simulate(args) -> int:
+    from ._io import sidecar_path, write_json
+    from .families import family_from_dict
+    from .hazards import hazard_from_dict
+    from .simulate import SimConfig, _write_simulation
+
+    cfg = _load_config(args.config, {"sim": "dict", "summary_times": [["float"]], "out": "str"},
+                       ("summary_times", "out"))
     sim = _spec.read(cfg["sim"], "sim", {
         "family": family_from_dict, "hazards": [hazard_from_dict], "n_clusters": "int",
         "seed": "int", "censor_time": "Optional[float]",
-    }, ("censor_time",) if seed_override is None else ("censor_time", "seed"))
-    return SimConfig(**{**sim, "seed": sim["seed"] if seed_override is None else seed_override})
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, {"sim": "dict", "summary_times": [["float"]], "out": "str"},
-                       ("summary_times", "out"))
-    sim_cfg = _sim_config_from(cfg, args.seed)
+    }, ("censor_time",) if args.seed is None else ("censor_time", "seed"))
+    sim_cfg = SimConfig(**{**sim, "seed": sim["seed"] if args.seed is None else args.seed})
     out = _out_path(cfg, args)
     write_json(sidecar_path(out), _write_simulation(sim_cfg, out, cfg.get("summary_times")))
     return 0
 
 
-def _correlated_from(cfg) -> CorrelatedPoissonModel:
-    return CorrelatedPoissonModel(**_spec.read(cfg["model"], "model", {
-        "etas": "tuple", "w_dist": family_from_dict, "hazards": [hazard_from_dict]}))
-
-
 def _cmd_correlated(args) -> int:
+    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from .extensions import CorrelatedPoissonModel
+    from .families import family_from_dict, family_to_dict
+    from .hazards import hazard_from_dict, hazard_to_dict
+
     cfg = _load_config(args.config, {"model": "dict", **_GRID_OUT}, _GRID_OUT)
-    model = _correlated_from(cfg)
+    model = CorrelatedPoissonModel(**_spec.read(cfg["model"], "model", {
+        "etas": "tuple", "w_dist": family_from_dict, "hazards": [hazard_from_dict]}))
     top = float(sum(model.etas))
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": top, "points": 101}))
     crf = model.crf_of_d(grid)
@@ -158,11 +156,17 @@ def _cmd_correlated(args) -> int:
 
 def _coupling_from(spec):
     """A coupling name as given (the model checks it), or a table's object."""
+    from .extensions import CouplingTable
+
     return spec if isinstance(spec, str) else CouplingTable(
         **_spec.read(spec, "joint_coupling", {"conditional": "array"}))
 
 
-def _piecewise_from(cfg) -> PiecewiseFrailtyModel:
+def _piecewise_from(cfg):
+    from .extensions import PiecewiseFrailtyModel
+    from .families import family_from_dict
+    from .hazards import hazard_from_dict
+
     return PiecewiseFrailtyModel(**_spec.read(cfg["model"], "model", {
         "cutpoints": "tuple", "segment_families": [family_from_dict],
         "hazards": [hazard_from_dict], "joint_coupling": _coupling_from,
@@ -170,6 +174,12 @@ def _piecewise_from(cfg) -> PiecewiseFrailtyModel:
 
 
 def _cmd_piecewise(args) -> int:
+    import numpy as np
+
+    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from .extensions import piecewise_rfv, piecewise_tail
+    from .families import family_to_dict
+
     cfg = _load_config(args.config, {"model": "dict", **_GRID_OUT}, _GRID_OUT)
     model = _piecewise_from(cfg)
     floor = model.cutpoints[-1] if model.cutpoints else 0.0
@@ -192,6 +202,10 @@ def _cmd_piecewise(args) -> int:
 
 
 def _cmd_timevarying(args) -> int:
+    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from .extensions import TimeVaryingShift, shift_from_dict, shift_to_dict, timevarying_shift_rfv
+    from .families import family_from_dict, family_to_dict
+
     cfg = _load_config(args.config, {"inner": family_from_dict, "shift": shift_from_dict,
                                      **_GRID_OUT}, _GRID_OUT)
     model = TimeVaryingShift(inner=cfg["inner"], shift_fn=cfg["shift"])
@@ -207,6 +221,9 @@ def _cmd_timevarying(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from ._io import write_json
+    from .verify import report, run_all
+
     cfg = _load_config(args.config, {"only": ["str"]}, ("only",)) if args.config else {}
     payload = report(run_all(args.only or cfg.get("only")))
     if args.out:

@@ -74,7 +74,8 @@ class CorrelatedPoissonModel:
     hazards: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
+        object.__setattr__(self, "etas",
+                           tuple(float(e) for e in _spec.number_list(self.etas, "etas")))
         object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         validate(self.w_dist)
         if len(self.etas) < 2:
@@ -118,7 +119,7 @@ class CorrelatedPoissonModel:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw n joint frailty vectors, shape (n, J)."""
-        n, seed = _spec.integer(n, "n", positive=True), _spec.integer(seed, "seed")
+        n, seed = _spec.integer(n, "n", positive=True), _spec.seed(seed)
         return np.concatenate(list(self._draw_chunks(n, seed))).astype(np.float64)
 
     def _draw_chunks(self, n: int, seed: int):
@@ -194,7 +195,8 @@ class PiecewiseFrailtyModel:
     joint_coupling: Coupling = "independent"
 
     def __post_init__(self):
-        object.__setattr__(self, "cutpoints", tuple(float(c) for c in self.cutpoints))
+        object.__setattr__(self, "cutpoints", tuple(
+            float(c) for c in _spec.number_list(self.cutpoints, "cutpoints")))
         object.__setattr__(self, "segment_families", tuple(self.segment_families))
         object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         if len(self.segment_families) != len(self.cutpoints) + 1:

@@ -162,8 +162,8 @@ class KPoint:
     probs: tuple
 
     def __post_init__(self):
-        support = tuple(float(z) for z in self.support)
-        probs = tuple(float(p) for p in self.probs)
+        support = tuple(float(z) for z in _spec.number_list(self.support, "KPoint support"))
+        probs = tuple(float(p) for p in _spec.number_list(self.probs, "KPoint probs"))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         if len(support) != len(probs):

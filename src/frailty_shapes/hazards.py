@@ -71,8 +71,9 @@ class PiecewiseConstant:
     rates: tuple
 
     def __post_init__(self):
-        breakpoints = tuple(float(b) for b in self.breakpoints)
-        rates = tuple(float(r) for r in self.rates)
+        breakpoints = tuple(float(b) for b in
+                            _spec.number_list(self.breakpoints, "piecewise breakpoints"))
+        rates = tuple(float(r) for r in _spec.number_list(self.rates, "piecewise rates"))
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "rates", rates)
         if len(rates) != len(breakpoints) + 1:
@@ -139,7 +140,8 @@ def _hazard_tag(hazard) -> str:
 
 def _check_hazards(hazards) -> tuple:
     """``hazards`` as a tuple of at least one tagged baseline hazard."""
-    hazards = tuple(hazards)
+    hazards = tuple(_spec._need(isinstance(hazards, (list, tuple)), "hazards", "a list",
+                                hazards))
     if not hazards:
         raise LengthMismatch("at least one hazard is required")
     for hazard in hazards:

@@ -47,7 +47,7 @@ _STREAM_CRF_BOOT = 2
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed % 2**64), np.uint64(stream)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -72,7 +72,7 @@ class SimConfig:
         object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         object.__setattr__(self, "n_clusters",
                            _spec.integer(self.n_clusters, "n_clusters", positive=True))
-        object.__setattr__(self, "seed", _spec.integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _spec.seed(self.seed))
         if self.censor_time is not None:
             _spec.positive(self.censor_time, "censor_time")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frailty_shapes import cli
+from frailty_shapes import cli, verify
 from frailty_shapes.extensions import piecewise_rfv
 from frailty_shapes.verify import Check, CriterionResult
 
@@ -394,7 +394,8 @@ class TestVerifyCommand:
         fail = CriterionResult(
             name="tail_limits", passed=False, seconds=0.0,
             checks=[Check(label="synthetic", passed=False, detail="forced")])
-        monkeypatch.setattr(cli, "run_all", lambda only=None: [fail])
+        # the handler imports run_all from verify when it runs
+        monkeypatch.setattr(verify, "run_all", lambda only=None: [fail])
         rc, out, _ = run_main(["verify"], capsys)
         assert rc == 1
         assert json.loads(out)["passed"] is False

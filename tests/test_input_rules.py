@@ -1,9 +1,11 @@
-"""The input rules shared across the package: integers, positive and finite
-parameters, hazard lists and target pairs, each checked in one place.
+"""The input rules shared across the package: integers, seeds, positive and
+finite parameters, lists of numbers, hazard lists and target pairs, each
+checked in one place.
 
 Every call below was accepted by an earlier version of the package, which
 then either ran on a silently converted value (a ``1.5`` or ``True`` seed drew
-the seed-1 sample) or failed later outside :class:`FrailtyModelError`.
+the seed-1 sample, and seed ``-1`` the seed ``2**64 - 1`` one) or failed
+outside :class:`FrailtyModelError`.
 """
 
 import math
@@ -57,6 +59,39 @@ REJECTED = {
                         "^seed must be an integer, got 1.5$"),
     "sample seed True": (lambda: _correlated().sample(5, True),
                          "^seed must be an integer, got True$"),
+    # Philox keys are 64-bit, so seeds outside [0, 2**64) would alias others
+    "seed -1": (lambda: _config(seed=-1), r"^seed must be in \[0, 2\*\*64\), got -1$"),
+    "seed 2**64": (lambda: _config(seed=2**64),
+                   r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    "sample seed -1": (lambda: _correlated().sample(5, -1),
+                       r"^seed must be in \[0, 2\*\*64\), got -1$"),
+    "sample seed 2**64": (lambda: _correlated().sample(5, 2**64),
+                          r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    # arguments that raised bare TypeError or ValueError
+    "SimConfig hazard not in a list": (
+        lambda: _config(hazards=EXP1),
+        r"^hazards must be a list, got ExponentialRate\(rate=1.0\)$"),
+    "KPoint support 'a'": (lambda: fs.KPoint(support=("a", 1.0), probs=(0.5, 0.5)),
+                           r"^KPoint support\[0\] must be a finite number, got 'a'$"),
+    "KPoint probs 'a'": (lambda: fs.KPoint(support=(0.0, 1.0), probs=(0.5, "a")),
+                         r"^KPoint probs\[1\] must be a finite number, got 'a'$"),
+    "PiecewiseConstant breakpoints 'a'": (
+        lambda: fs.PiecewiseConstant(breakpoints=("a",), rates=(1.0, 2.0)),
+        r"^piecewise breakpoints\[0\] must be a finite number, got 'a'$"),
+    "PiecewiseConstant rates 'a'": (
+        lambda: fs.PiecewiseConstant(breakpoints=(1.0,), rates=(1.0, "a")),
+        r"^piecewise rates\[1\] must be a finite number, got 'a'$"),
+    "CorrelatedPoissonModel etas 'a'": (lambda: _correlated(etas=(1.0, "a")),
+                                        r"^etas\[1\] must be a finite number, got 'a'$"),
+    "CorrelatedPoissonModel etas not a list": (lambda: _correlated(etas=2.0),
+                                               "^etas must be a list, got 2.0$"),
+    "PiecewiseFrailtyModel cutpoints 'a'": (
+        lambda: PiecewiseFrailtyModel(cutpoints=("a",), segment_families=(POISSON2, POISSON2),
+                                      hazards=(EXP1,)),
+        r"^cutpoints\[0\] must be a finite number, got 'a'$"),
+    "CorrelatedPoissonModel hazard not in a list": (
+        lambda: _correlated(hazards=EXP1),
+        r"^hazards must be a list, got ExponentialRate\(rate=1.0\)$"),
 }
 
 
@@ -82,3 +117,10 @@ def test_target_pair_message_is_shared(j, j_prime):
         empirical_crf(simulate(_config()), (0.5, 0.5), j, j_prime)
     assert (str(correlation.value) == str(cross_ratio.value)
             == f"need two distinct target indices in [0, 2), got {j}, {j_prime}")
+
+
+def test_largest_seed_still_draws():
+    top = 2**64 - 1
+    assert _config(seed=top).seed == top
+    assert simulate(_config(seed=top)).times.shape == (200, 2)
+    assert _correlated().sample(5, top).shape == (5, 2)
