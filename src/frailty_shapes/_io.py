@@ -6,10 +6,10 @@ with ``%d`` and floats with ``%.17g`` (enough digits to round-trip float64;
 indent plus a trailing newline.  Nothing time- or host-dependent enters a
 file, so reruns are byte-identical.
 
-Tables are written one block of ``_BLOCK_ROWS`` rows at a time, so the text
-held in memory stays small whatever the table length; ``simulate`` draws its
-clusters in chunks of the same size and hands each chunk straight to the
-writer.
+A table is a CSV plus a JSON sidecar with the same stem.  Tables are written
+one block of ``_BLOCK_ROWS`` rows at a time, so the text held in memory
+stays small whatever the table length; ``simulate`` draws its clusters in
+chunks of the same size and hands each chunk straight to the writer.
 """
 
 from __future__ import annotations
@@ -55,3 +55,10 @@ def sidecar_path(csv_path) -> str:
     """The JSON sidecar next to a CSV: same stem, ``.json`` suffix."""
     csv_path = str(csv_path)
     return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
+
+
+def write_table(path, header, columns, sidecar) -> None:
+    """Write equal-length ``columns`` under ``header`` as the CSV ``path``,
+    then the payload ``sidecar`` as its JSON sidecar."""
+    write_csv(path, header, row_blocks(columns))
+    write_json(sidecar_path(path), sidecar)

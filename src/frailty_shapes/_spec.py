@@ -9,7 +9,7 @@ present and no unknown key given.  A violation raises
 
 The rules that constructors and functions also apply to their arguments
 live here once: :func:`integer`, :func:`seed`, :func:`positive`,
-:func:`number_list` and :func:`target_pair`.
+:func:`listed`, :func:`number_list` and :func:`target_pair`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ from dataclasses import fields, is_dataclass
 from .errors import ParameterOutOfRange
 
 
+def _is_real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, numbers.Real)
+
+
 def _is_integral(x) -> bool:
-    return not isinstance(x, bool) and (
-        isinstance(x, numbers.Integral) or isinstance(x, numbers.Real) and float(x).is_integer())
+    return _is_real(x) and (isinstance(x, numbers.Integral) or float(x).is_integer())
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -54,9 +57,11 @@ def seed(value) -> int:
 
 
 def positive(value, name):
-    """``value`` unchanged; raises unless it is positive and finite."""
+    """``value`` unchanged; raises unless it is a number (a ``bool`` is not),
+    positive and finite."""
     # a comparison, not math.isfinite, which overflows on a huge int
-    _require(0.0 < value <= sys.float_info.max, f"{name} must be positive and finite, got {value}")
+    _require(_is_real(value) and 0.0 < value <= sys.float_info.max,
+             f"{name} must be positive and finite, got {value!r}")
     return value
 
 
@@ -71,8 +76,13 @@ def target_pair(j, j_prime, n) -> tuple:
 
 def _number(value, name):
     # a comparison, not math.isfinite, which overflows on a huge int
-    return _need(not isinstance(value, bool) and isinstance(value, numbers.Real)
-                 and abs(value) <= sys.float_info.max, name, "a finite number", value)
+    return _need(_is_real(value) and abs(value) <= sys.float_info.max,
+                 name, "a finite number", value)
+
+
+def listed(value, name) -> tuple:
+    """``value`` as a tuple; raises unless it is a list or a tuple."""
+    return tuple(_need(isinstance(value, (list, tuple)), name, "a list", value))
 
 
 def number_list(value, name) -> tuple:
@@ -98,8 +108,7 @@ def _check(kind, value, name):
     """``value`` checked by ``kind``: a name in :data:`KINDS`, ``[item kind]``
     for a list (read as a tuple), or a decoder taking the value alone."""
     if isinstance(kind, list):
-        _need(isinstance(value, (list, tuple)), name, "a list", value)
-        return tuple(_check(kind[0], v, f"{name}[{i}]") for i, v in enumerate(value))
+        return tuple(_check(kind[0], v, f"{name}[{i}]") for i, v in enumerate(listed(value, name)))
     return KINDS[kind](value, name) if isinstance(kind, str) else kind(value)
 
 

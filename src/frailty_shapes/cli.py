@@ -84,7 +84,7 @@ def _cmd_oracle(args) -> int:
     import numpy as np
 
     from . import oracle
-    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from ._io import write_table
     from .families import family_from_dict, family_to_dict
     from .shapes import rfv_at
 
@@ -93,18 +93,13 @@ def _cmd_oracle(args) -> int:
     ratio = rfv_at(cfg["family"], grid)
     brute = oracle.rfv(cfg["family"], grid)
     rel = np.abs(ratio - brute) / np.abs(brute)
-    out = _out_path(cfg, args)
-    write_csv(out, ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
-              row_blocks((grid, ratio, brute, rel)))
-    write_json(sidecar_path(out), {
-        "family": family_to_dict(cfg["family"]),
-        "max_rel_diff": float(np.max(rel)),
-    })
+    write_table(_out_path(cfg, args), ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
+                (grid, ratio, brute, rel),
+                {"family": family_to_dict(cfg["family"]), "max_rel_diff": float(np.max(rel))})
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from ._io import sidecar_path, write_json
     from .families import family_from_dict
     from .hazards import hazard_from_dict
     from .simulate import SimConfig, _write_simulation
@@ -116,13 +111,12 @@ def _cmd_simulate(args) -> int:
         "seed": "int", "censor_time": "Optional[float]",
     }, ("censor_time",) if args.seed is None else ("censor_time", "seed"))
     sim_cfg = SimConfig(**{**sim, "seed": sim["seed"] if args.seed is None else args.seed})
-    out = _out_path(cfg, args)
-    write_json(sidecar_path(out), _write_simulation(sim_cfg, out, cfg.get("summary_times")))
+    _write_simulation(sim_cfg, _out_path(cfg, args), cfg.get("summary_times"))
     return 0
 
 
 def _cmd_correlated(args) -> int:
-    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from ._io import write_table
     from .extensions import CorrelatedPoissonModel
     from .families import family_from_dict, family_to_dict
     from .hazards import hazard_from_dict, hazard_to_dict
@@ -132,17 +126,14 @@ def _cmd_correlated(args) -> int:
         "etas": "tuple", "w_dist": family_from_dict, "hazards": [hazard_from_dict]}))
     top = float(sum(model.etas))
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": top, "points": 101}))
-    crf = model.crf_of_d(grid)
-    out = _out_path(cfg, args)
-    # The correlated model's cross-ratio is no longer 1 + RFV of any single
-    # frailty, so the CSV deliberately omits an rfv column.
-    write_csv(out, ("d", "crf"), row_blocks((grid, crf)))
     pairs = [
         {"j": j, "j_prime": k,
          "correlation": model.frailty_correlation(j, k)}
         for j in range(len(model.etas)) for k in range(j + 1, len(model.etas))
     ]
-    write_json(sidecar_path(out), {
+    # The correlated model's cross-ratio is no longer 1 + RFV of any single
+    # frailty, so the CSV deliberately omits an rfv column.
+    write_table(_out_path(cfg, args), ("d", "crf"), (grid, model.crf_of_d(grid)), {
         "model": {
             "etas": list(model.etas),
             "w_dist": family_to_dict(model.w_dist),
@@ -176,7 +167,7 @@ def _piecewise_from(cfg):
 def _cmd_piecewise(args) -> int:
     import numpy as np
 
-    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from ._io import write_table
     from .extensions import piecewise_rfv, piecewise_tail
     from .families import family_to_dict
 
@@ -189,9 +180,7 @@ def _cmd_piecewise(args) -> int:
                    f"piecewise grid must start at or after the final cutpoint {floor}")
     # one row per grid time, the same time for every target
     rfv = piecewise_rfv(model, np.repeat(grid[:, None], len(model.hazards), axis=1))
-    out = _out_path(cfg, args)
-    write_csv(out, ("t", "rfv", "crf"), row_blocks((grid, rfv, rfv + 1.0)))
-    write_json(sidecar_path(out), {
+    write_table(_out_path(cfg, args), ("t", "rfv", "crf"), (grid, rfv, rfv + 1.0), {
         "segment_families": [family_to_dict(f) for f in model.segment_families],
         "cutpoints": list(model.cutpoints),
         "coupling": (model.joint_coupling if isinstance(model.joint_coupling, str)
@@ -202,7 +191,7 @@ def _cmd_piecewise(args) -> int:
 
 
 def _cmd_timevarying(args) -> int:
-    from ._io import row_blocks, sidecar_path, write_csv, write_json
+    from ._io import write_table
     from .extensions import TimeVaryingShift, shift_from_dict, shift_to_dict, timevarying_shift_rfv
     from .families import family_from_dict, family_to_dict
 
@@ -211,9 +200,7 @@ def _cmd_timevarying(args) -> int:
     model = TimeVaryingShift(inner=cfg["inner"], shift_fn=cfg["shift"])
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 201}))
     vals = timevarying_shift_rfv(model, grid)
-    out = _out_path(cfg, args)
-    write_csv(out, ("lambda", "rfv", "crf"), row_blocks((grid, vals, vals + 1.0)))
-    write_json(sidecar_path(out), {
+    write_table(_out_path(cfg, args), ("lambda", "rfv", "crf"), (grid, vals, vals + 1.0), {
         "inner": family_to_dict(model.inner),
         "shift": shift_to_dict(model.shift_fn),
     })

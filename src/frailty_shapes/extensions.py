@@ -197,7 +197,8 @@ class PiecewiseFrailtyModel:
     def __post_init__(self):
         object.__setattr__(self, "cutpoints", tuple(
             float(c) for c in _spec.number_list(self.cutpoints, "cutpoints")))
-        object.__setattr__(self, "segment_families", tuple(self.segment_families))
+        object.__setattr__(self, "segment_families",
+                           _spec.listed(self.segment_families, "segment_families"))
         object.__setattr__(self, "hazards", _check_hazards(self.hazards))
         if len(self.segment_families) != len(self.cutpoints) + 1:
             raise LengthMismatch(

@@ -63,7 +63,8 @@ class NegBin:
     nu: float
 
     def __post_init__(self):
-        _require(0.0 < self.pi < 1.0, f"NegBin pi must lie in (0, 1), got {self.pi}")
+        _require(0.0 < _spec._number(self.pi, "NegBin pi") < 1.0,
+                 f"NegBin pi must lie in (0, 1), got {self.pi}")
         _spec.positive(self.nu, "NegBin nu")
 
 
@@ -75,7 +76,7 @@ class NegBinPositive:
     nu: int
 
     def __post_init__(self):
-        _require(0.0 < self.pi < 1.0,
+        _require(0.0 < _spec._number(self.pi, "NegBinPositive pi") < 1.0,
                  f"NegBinPositive pi must lie in (0, 1), got {self.pi}")
         object.__setattr__(self, "nu", _spec.integer(self.nu, "NegBinPositive nu", positive=True))
 
@@ -88,7 +89,8 @@ class Binomial:
     n: int
 
     def __post_init__(self):
-        _require(0.0 < self.pi < 1.0, f"Binomial pi must lie in (0, 1), got {self.pi}")
+        _require(0.0 < _spec._number(self.pi, "Binomial pi") < 1.0,
+                 f"Binomial pi must lie in (0, 1), got {self.pi}")
         object.__setattr__(self, "n", _spec.integer(self.n, "Binomial n", positive=True))
 
 
@@ -115,8 +117,8 @@ class Shifted:
                 "Shifted inner family must be NegBin, Binomial, or Poisson, "
                 f"got {type(self.inner).__name__}"
             )
-        _require(self.p >= 0.0 and math.isfinite(self.p),
-                 f"Shifted p must be nonnegative and finite, got {self.p}")
+        _require(_spec._number(self.p, "Shifted p") >= 0.0,
+                 f"Shifted p must be nonnegative, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,8 @@ class ZeroModifiedPoisson:
         _spec.positive(self.eta, "ZeroModifiedPoisson eta")
         # phi < exp(eta) keeps the zero-class probability below one; compare in
         # the downscaled form so large eta cannot overflow.
-        _require(self.phi >= 0.0 and self.phi * math.exp(-self.eta) < 1.0,
+        _require(_spec._number(self.phi, "ZeroModifiedPoisson phi") >= 0.0
+                 and self.phi * math.exp(-self.eta) < 1.0,
                  f"ZeroModifiedPoisson phi must lie in [0, exp(eta)), got {self.phi}")
 
 
@@ -150,7 +153,7 @@ class Addams:
     gamma: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.alpha), f"Addams alpha must be finite, got {self.alpha}")
+        _spec._number(self.alpha, "Addams alpha")
         _spec.positive(self.gamma, "Addams gamma")
 
 

@@ -140,8 +140,7 @@ def _hazard_tag(hazard) -> str:
 
 def _check_hazards(hazards) -> tuple:
     """``hazards`` as a tuple of at least one tagged baseline hazard."""
-    hazards = tuple(_spec._need(isinstance(hazards, (list, tuple)), "hazards", "a list",
-                                hazards))
+    hazards = _spec.listed(hazards, "hazards")
     if not hazards:
         raise LengthMismatch("at least one hazard is required")
     for hazard in hazards:

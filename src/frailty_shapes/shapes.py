@@ -355,8 +355,8 @@ def curve_sidecar(shape: ShapeCurve) -> dict:
 
 def write_curve(shape: ShapeCurve, csv_path) -> None:
     """Write the CSV and its JSON sidecar (same stem, .json)."""
-    curve_to_csv(shape, csv_path)
-    _io.write_json(_io.sidecar_path(csv_path), curve_sidecar(shape))
+    _io.write_table(csv_path, ("lambda", "rfv", "crf"), (shape.grid, shape.rfv, shape.crf),
+                    curve_sidecar(shape))
 
 
 #: Built-in eight-point example supports and weights for the k-point family.

@@ -15,10 +15,10 @@ on the chunk size or on scheduling.  Bootstrap standard errors use separate
 stream ids.
 
 Memory: clusters are drawn in chunks of ``_io._BLOCK_ROWS`` rows, and
-:func:`simulate` fills one array per quantity.  Each estimator counts, then
-estimates from the integer counts alone; :func:`_tally` counts chunk by
-chunk, so ``verify`` and the command line's writer (:func:`_write_simulation`)
-hold one chunk whatever ``n_clusters`` is.
+:func:`simulate` fills one array per quantity.  Every count, CSV row and
+summary is one :func:`_tally` pass over such chunks, and estimators use the
+integer counts alone.  ``verify`` and the command line tally the draw, one
+chunk in memory whatever ``n_clusters`` is; a :class:`SampleSet` its arrays.
 """
 
 from __future__ import annotations
@@ -119,20 +119,25 @@ class SampleSet(Sequence):
                              censored_at=self.config.censor_time)
 
     def cure_fraction(self) -> float:
-        return float(np.mean(self.z == 0.0))
+        return _tally(self.config, self._chunks())[0] / len(self)
 
     def n_at_risk(self, t) -> int:
-        t = _check_time_vector(self.config.hazards, t)
-        return int((self.times > t[None, :]).all(axis=1).sum())
+        return int(_tally(self.config, self._chunks(), [t])[1][0].sum())
+
+    def _chunks(self):
+        """The sample as the ``(start, codes, z, times)`` chunks of :func:`_chunks`."""
+        for i, block in enumerate(_io.row_blocks((self.codes, self.z, self.times))):
+            yield (i * _io._BLOCK_ROWS, *block)
 
 
-def _chunks(config: SimConfig, table):
+def _chunks(config: SimConfig):
     """Yield ``(start, codes, z, times)`` for consecutive chunks of at most
-    ``_io._BLOCK_ROWS`` clusters, ``table`` being the family's support table.
+    ``_io._BLOCK_ROWS`` clusters.
 
     Each chunk continues the one main stream, so the chunks' uniforms are the
     rows of the one-shot ``(n_clusters, J + 1)`` matrix, bit for bit.
     """
+    table = support_table(config.family)
     rng = _philox(config.seed, _STREAM_MAIN)
     j, n = len(config.hazards), config.n_clusters
     for start in range(0, n, _io._BLOCK_ROWS):
@@ -151,13 +156,12 @@ def _chunks(config: SimConfig, table):
 
 def simulate(config: SimConfig) -> SampleSet:
     """Draw ``n_clusters`` clusters under the shared-frailty model."""
-    table = support_table(config.family)
     codes = np.empty(config.n_clusters, dtype=np.int64)
     times = np.empty((config.n_clusters, len(config.hazards)))
-    for start, chunk_codes, _, chunk_times in _chunks(config, table):
+    for start, chunk_codes, _, chunk_times in _chunks(config):
         codes[start:start + chunk_codes.shape[0]] = chunk_codes
         times[start:start + chunk_codes.shape[0]] = chunk_times
-    return SampleSet(config=config, support=table.z, codes=codes, times=times)
+    return SampleSet(config, support_table(config.family).z, codes, times)
 
 
 def population_survival(samples: SampleSet, t) -> EmpiricalEstimate:
@@ -175,9 +179,7 @@ def empirical_rfv(samples: SampleSet, t) -> EmpiricalEstimate:
     resamples, stream derived from the simulation seed).
     """
     t = _check_time_vector(samples.config.hazards, t)
-    counts = _kernels.riskset_value_counts(samples.codes, samples.times, t,
-                                           samples.support.shape[0])
-    return _rfv_estimate(samples.config, counts, t)
+    return _rfv_estimate(samples.config, _tally(samples.config, samples._chunks(), [t])[1][0], t)
 
 
 def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
@@ -193,7 +195,8 @@ def empirical_crf(samples: SampleSet, t, j: int, j_prime: int,
     resamples).
     """
     query = _crf_query(samples.config, t, j, j_prime, window)
-    return _crf_estimate(samples.config, _crf_cells(samples.times, query), query[0], window)
+    cells = _tally(samples.config, samples._chunks(), crf_queries=[query])[2][0]
+    return _crf_estimate(samples.config, cells, query[0], window)
 
 
 def _crf_query(config: SimConfig, t, j: int, j_prime: int, window: float) -> tuple:
@@ -214,26 +217,31 @@ def _crf_cells(times: np.ndarray, query: tuple) -> np.ndarray:
     return _kernels.crf_cell_counts(times[:, j], times[:, j_prime], t[j], t[j_prime], window)
 
 
-def _tally(config: SimConfig, alive_times=(), crf_queries=(),
-           sink=lambda chunks: sum(1 for _ in chunks)):
-    """``(cured, values, cells)`` of ``simulate(config)``, summed chunk by chunk:
-    the cured count, the at-risk frailty-value counts at each of ``alive_times``
-    and the table of each ``(t, j, j_prime, window)`` cross-ratio query.
-    ``sink`` consumes the ``(start, z, times)`` chunks (by default it drops
-    them) once the queries pass their checks."""
-    table = support_table(config.family)
+def _drop(chunks) -> None:
+    """The sink of a count alone: it reads the chunks and keeps none."""
+    for _ in chunks:
+        pass
+
+
+def _tally(config: SimConfig, chunks, alive_times=(), crf_queries=(), sink=_drop):
+    """``(cured, values, cells)`` summed over ``chunks``, ``config``'s sample
+    as ``(start, codes, z, times)`` chunks: the cured count, the at-risk
+    frailty-value counts at each of ``alive_times`` and the table of each
+    ``(t, j, j_prime, window)`` cross-ratio query.  ``sink`` consumes the
+    ``(start, z, times)`` chunks once the queries pass their checks."""
+    n_values = support_table(config.family).z.shape[0]
     alive_times = [_check_time_vector(config.hazards, t) for t in alive_times]
     crf_queries = [_crf_query(config, *q) for q in crf_queries]
-    values = np.zeros((len(alive_times), table.z.shape[0]), dtype=np.int64)
+    values = np.zeros((len(alive_times), n_values), dtype=np.int64)
     cells = np.zeros((len(crf_queries), 9), dtype=np.int64)
     cured = 0
 
     def counted():
         nonlocal cured
-        for start, codes, z, times in _chunks(config, table):
+        for start, codes, z, times in chunks:
             cured += int(np.count_nonzero(z == 0.0))
             for i, t in enumerate(alive_times):
-                values[i] += _kernels.riskset_value_counts(codes, times, t, table.z.shape[0])
+                values[i] += _kernels.riskset_value_counts(codes, times, t, n_values)
             for i, query in enumerate(crf_queries):
                 cells[i] += _crf_cells(times, query)
             yield start, z, times
@@ -301,10 +309,6 @@ def _crf_estimate(config: SimConfig, cells: np.ndarray, t, window: float) -> Emp
 # ---------------------------------------------------------------------------
 
 
-def _csv_header(j: int) -> list:
-    return ["cluster_id", "z"] + [f"t_{q + 1}" for q in range(j)] + ["censored"]
-
-
 def _csv_block(censor, start: int, z: np.ndarray, times: np.ndarray) -> list:
     """The CSV columns of the clusters ``start, start + 1, ...`` with
     frailties ``z`` and latent times ``times``, clipped at ``censor``."""
@@ -317,6 +321,13 @@ def _csv_block(censor, start: int, z: np.ndarray, times: np.ndarray) -> list:
     return [np.arange(start, start + z.shape[0]), z, *observed.T, flags]
 
 
+def _csv_sink(config: SimConfig, path):
+    """The sink that writes ``config``'s ``(start, z, times)`` chunks to ``path``."""
+    header = ["cluster_id", "z", *(f"t_{q + 1}" for q in range(len(config.hazards))), "censored"]
+    return lambda chunks: _io.write_csv(path, header, (
+        _csv_block(config.censor_time, *chunk) for chunk in chunks))
+
+
 def samples_to_csv(samples: SampleSet, path) -> None:
     """Write ``cluster_id,z,t_1,...,t_J,censored`` rows.
 
@@ -324,41 +335,33 @@ def samples_to_csv(samples: SampleSet, path) -> None:
     the written times are clipped there and the flag marks clusters with at
     least one clipped entry.
     """
-    rows, censor = _io._BLOCK_ROWS, samples.config.censor_time
-    _io.write_csv(path, _csv_header(samples.times.shape[1]), (
-        _csv_block(censor, s, samples.z[s:s + rows], samples.times[s:s + rows])
-        for s in range(0, len(samples), rows)))
+    _tally(samples.config, samples._chunks(), sink=_csv_sink(samples.config, path))
 
 
-def _summary(cfg: SimConfig, cure_fraction: float, summary_times, at_risk) -> dict:
-    """The summary payload from the cure fraction and the at-risk count at
-    each of ``summary_times``."""
+def _summary(cfg: SimConfig, chunks, summary_times=None, sink=_drop) -> dict:
+    """The summary payload of ``cfg``'s sample from one tally of its
+    ``chunks``, which then pass on to ``sink``."""
+    summary_times = summary_times or []
+    cured, values, _ = _tally(cfg, chunks, summary_times, sink=sink)
     return {
         "family": family_to_dict(cfg.family),
         "hazards": [hazard_to_dict(h) for h in cfg.hazards],
         "n_clusters": int(cfg.n_clusters),
         "seed": int(cfg.seed),
         "censor_time": cfg.censor_time,
-        "cure_fraction": cure_fraction,
-        "at_risk": [{"t": list(np.atleast_1d(np.asarray(t, dtype=float))), "n": n}
-                    for t, n in zip(summary_times, at_risk)],
+        "cure_fraction": cured / cfg.n_clusters,
+        "at_risk": [{"t": list(np.atleast_1d(np.asarray(t, dtype=float))), "n": int(v.sum())}
+                    for t, v in zip(summary_times, values)],
     }
 
 
 def simulation_summary(samples: SampleSet, summary_times=None) -> dict:
     """JSON-ready summary: config echo, cure fraction, at-risk counts."""
-    summary_times = summary_times or []
-    return _summary(samples.config, samples.cure_fraction(), summary_times,
-                    [samples.n_at_risk(t) for t in summary_times])
+    return _summary(samples.config, samples._chunks(), summary_times)
 
 
-def _write_simulation(config: SimConfig, path, summary_times=None) -> dict:
-    """Write ``config``'s clusters to ``path`` and return their summary, one
-    chunk in memory: the bytes and payload of :func:`samples_to_csv` and
-    :func:`simulation_summary` on ``simulate(config)``."""
-    summary_times = summary_times or []
-    cured, values, _ = _tally(config, summary_times, sink=lambda chunks: _io.write_csv(
-        path, _csv_header(len(config.hazards)),
-        (_csv_block(config.censor_time, *chunk) for chunk in chunks)))
-    return _summary(config, cured / config.n_clusters, summary_times,
-                    [int(v.sum()) for v in values])
+def _write_simulation(config: SimConfig, path, summary_times=None) -> None:
+    """:func:`samples_to_csv` and the :func:`simulation_summary` sidecar of
+    ``simulate(config)``, drawn and written one chunk at a time."""
+    _io.write_json(_io.sidecar_path(path), _summary(
+        config, _chunks(config), summary_times, _csv_sink(config, path)))

@@ -43,7 +43,7 @@ from .shapes import (
     stationary_points,
     zmp_derivative_terms,
 )
-from .simulate import SimConfig, _crf_estimate, _rfv_estimate, _tally
+from .simulate import SimConfig, _chunks, _crf_estimate, _rfv_estimate, _tally
 from .extensions import (
     ConstantFloor,
     CorrelatedPoissonModel,
@@ -246,7 +246,7 @@ def _crit_mc_selection() -> list:
     n = 10**6
     for fam, seed in cases:
         config = SimConfig(family=fam, hazards=hazards, n_clusters=n, seed=seed)
-        _, values, _ = _tally(config, alive_times=[[t] for t in times])
+        _, values, _ = _tally(config, _chunks(config), alive_times=[[t] for t in times])
         for t, counts in zip(times, values):
             est = _rfv_estimate(config, counts, [t])
             target = rfv_at(fam, t)
@@ -273,7 +273,7 @@ def _crit_crf_identity() -> list:
     # Shrink the window until halving it moves the estimate by < 0.5 SE; the
     # (0, 1) tables of all five windows come from one pass over the draws.
     windows = [0.05 / 2.0**i for i in range(5)]
-    _, _, tables = _tally(config, crf_queries=[(t, 0, 1, w) for w in windows])
+    _, _, tables = _tally(config, _chunks(config), crf_queries=[(t, 0, 1, w) for w in windows])
     window, cells, est = windows[0], tables[0], _crf_estimate(config, tables[0], t, windows[0])
     for finer_window, finer_cells in zip(windows[1:], tables[1:]):
         try:

@@ -92,6 +92,34 @@ REJECTED = {
     "CorrelatedPoissonModel hazard not in a list": (
         lambda: _correlated(hazards=EXP1),
         r"^hazards must be a list, got ExponentialRate\(rate=1.0\)$"),
+    "PiecewiseFrailtyModel segment_families not in a list": (
+        lambda: PiecewiseFrailtyModel(cutpoints=(), segment_families=POISSON2, hazards=(EXP1,)),
+        r"^segment_families must be a list, got Poisson\(eta=2.0\)$"),
+    "Poisson eta '2'": (lambda: fs.Poisson(eta="2"),
+                        "^Poisson eta must be positive and finite, got '2'$"),
+    "Poisson eta None": (lambda: fs.Poisson(eta=None),
+                         "^Poisson eta must be positive and finite, got None$"),
+    "NegBin pi 'a'": (lambda: fs.NegBin(pi="a", nu=2.0),
+                      "^NegBin pi must be a finite number, got 'a'$"),
+    "NegBinPositive pi None": (lambda: fs.NegBinPositive(pi=None, nu=2),
+                               "^NegBinPositive pi must be a finite number, got None$"),
+    # real parameters that took True as 1.0, so the spec they wrote was unreadable
+    "Poisson eta True": (lambda: fs.Poisson(eta=True),
+                         "^Poisson eta must be positive and finite, got True$"),
+    "NegBin nu True": (lambda: fs.NegBin(pi=0.3, nu=True),
+                       "^NegBin nu must be positive and finite, got True$"),
+    "Binomial pi True": (lambda: fs.Binomial(pi=True, n=3),
+                         "^Binomial pi must be a finite number, got True$"),
+    "GammaFrailty mean True": (lambda: fs.GammaFrailty(mean=True, variance=0.5),
+                               "^GammaFrailty mean must be positive and finite, got True$"),
+    "Shifted p True": (lambda: fs.Shifted(inner=POISSON2, p=True),
+                       "^Shifted p must be a finite number, got True$"),
+    "ZeroModifiedPoisson phi True": (lambda: fs.ZeroModifiedPoisson(eta=2.0, phi=True),
+                                     "^ZeroModifiedPoisson phi must be a finite number, got True$"),
+    "Addams alpha True": (lambda: fs.Addams(alpha=True, gamma=0.5),
+                          "^Addams alpha must be a finite number, got True$"),
+    "ExponentialRate rate True": (lambda: fs.ExponentialRate(rate=True),
+                                  "^exponential rate must be positive and finite, got True$"),
 }
 
 

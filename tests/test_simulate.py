@@ -18,6 +18,7 @@ from frailty_shapes.cli import main
 from frailty_shapes.families import support_table
 from frailty_shapes.simulate import (
     SimConfig,
+    _chunks,
     _crf_estimate,
     _philox,
     _rfv_estimate,
@@ -251,6 +252,11 @@ class TestChunkedDraws:
         assert np.array_equal(s.codes, codes)
         assert np.array_equal(s.times, times)
         assert s.codes.dtype == np.int64 and s.times.shape == (n, len(hazards))
+        # the sample cut at the chunk rows is the draw's chunks, bit for bit
+        for (start, *got), (want_start, *want) in zip(s._chunks(), _chunks(cfg), strict=True):
+            assert start == want_start
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("censor", [None, 0.8])
     def test_cli_stream_matches_the_library_writers(self, tmp_path, censor):
@@ -320,7 +326,7 @@ class TestStreamedCounts:
         s = simulate(cfg)
         alive = [np.full(j, t) for t in self.TIMES]
         queries = [(np.asarray(t[:j]), a, b, w) for t, a, b, w in self.QUERIES if j > 1]
-        cured, values, cells = _tally(cfg, alive, queries)
+        cured, values, cells = _tally(cfg, _chunks(cfg), alive, queries)
 
         assert cured == np.count_nonzero(s.z == 0.0) and cured / n == s.cure_fraction()
         for t, counts in zip(alive, values):
@@ -343,7 +349,7 @@ class TestStreamedCounts:
     def test_small_samples_raise_the_same_errors(self):
         cfg = _cfg(hazards=(EXP1, EXP1), n_clusters=B + 1, seed=3)
         s = simulate(cfg)
-        _, values, cells = _tally(cfg, [(50.0, 50.0)], [((0.5, 0.5), 0, 1, 1e-12)])
+        _, values, cells = _tally(cfg, _chunks(cfg), [(50.0, 50.0)], [((0.5, 0.5), 0, 1, 1e-12)])
         t = np.array([50.0, 50.0])
         for got, want in ((_outcome(_rfv_estimate, cfg, values[0], t),
                            _outcome(empirical_rfv, s, t)),
@@ -352,7 +358,7 @@ class TestStreamedCounts:
             assert got == want and got[0] in (fs.TooFewAtRisk, fs.EmptyWindow,
                                               fs.DegenerateConditional)
         one = _cfg(n_clusters=1, seed=3)
-        _, values, _ = _tally(one, [(0.0,)])
+        _, values, _ = _tally(one, _chunks(one), [(0.0,)])
         assert _outcome(_rfv_estimate, one, values[0], np.array([0.0]))[0] is fs.TooFewAtRisk
 
     def test_queries_are_checked_before_the_sink_runs(self):
@@ -360,6 +366,7 @@ class TestStreamedCounts:
             raise AssertionError("sink called")
 
         with pytest.raises(fs.ParameterOutOfRange):
-            _tally(_cfg(hazards=(EXP1, EXP1)), crf_queries=[((0.5, 0.5), 0, 0, 0.05)], sink=sink)
+            _tally(_cfg(hazards=(EXP1, EXP1)), (), crf_queries=[((0.5, 0.5), 0, 0, 0.05)],
+                   sink=sink)
         with pytest.raises(fs.LengthMismatch):
-            _tally(_cfg(), alive_times=[(0.5, 0.5)], sink=sink)
+            _tally(_cfg(), (), alive_times=[(0.5, 0.5)], sink=sink)
