@@ -396,7 +396,7 @@ def timevarying_shift_rfv(model: TimeVaryingShift, lam):
     mean and variance of Z_* among survivors at Lambda.
     """
     arr = check_grid(lam)
-    _, mean, var = _survivor_triple(model.inner, arr)
+    _, mean, var, _ = _survivor_triple(model.inner, arr)
     shifted = mean + model.shift_fn.value(arr)
     vanished = shifted < 1e-300
     if vanished.any():

@@ -424,42 +424,55 @@ def _gamma_p2(x: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
-    """``(log L, mean, variance)`` of the frailty among survivors at ``s``.
+    """``(log L, mean, variance, k3)`` of the frailty among survivors at ``s``.
 
-    ``mean = -L'/L`` and ``variance = L''/L - (L'/L)^2`` are written per family
-    so that no term scales with ``L``: they stay in range wherever the survivor
-    moments do, however far ``L`` itself has underflowed.  Entries the moments
-    cannot represent come out inf or nan, without a warning.
+    ``mean = -L'/L``, ``variance = L''/L - (L'/L)^2`` and the third central
+    moment ``k3 = -(variance)'`` are written per family so that no term scales
+    with ``L``: they stay in range wherever the survivor moments do, however
+    far ``L`` itself has underflowed.  Entries the moments cannot represent
+    come out inf or nan, without a warning.
     """
     p, base = _unshift(family)
     if base is not family:
-        log_l, mean, var = _survivor_triple(base, s)
-        return log_l - p * s, mean + p, var
+        log_l, mean, var, k3 = _survivor_triple(base, s)
+        return log_l - p * s, mean + p, var, k3
     if isinstance(family, NegBin):
         qe = (1.0 - family.pi) * np.exp(-s)
         r = qe / (1.0 - qe)
+        var = family.nu * r * (1.0 + r)
         return (family.nu * (math.log(family.pi) - np.log1p(-qe)),
-                family.nu * r, family.nu * r * (1.0 + r))
+                family.nu * r, var, var * (1.0 + 2.0 * r))
     if isinstance(family, Binomial):
         pe = family.pi * np.exp(-s)
         base = (1.0 - family.pi) + pe
         t = pe / base  # success probability among survivors
-        return (family.n * np.log(base), family.n * t,
-                family.n * t * ((1.0 - family.pi) / base))
+        var = family.n * t * ((1.0 - family.pi) / base)
+        return family.n * np.log(base), family.n * t, var, var * (1.0 - 2.0 * t)
     if isinstance(family, Poisson):
         x = family.eta * np.exp(-s)
-        return family.eta * np.expm1(-s), x, x
+        return family.eta * np.expm1(-s), x, x, x
     if isinstance(family, ZeroModifiedPoisson):
         # Survivors put weight phi on 0 and amp x^k / k! on k >= 1, relative
         # to e^-eta.  Every sum is scaled by e^-x so none overflows, and
         # 1 - (1 + x) e^-x is the incomplete gamma P(2, x), without cancellation.
-        amp = _zmp_scale(family)
+        amp, phi = _zmp_scale(family), family.phi
         x = family.eta * np.exp(-s)
         ex = np.exp(-x)
-        den = family.phi * ex - amp * np.expm1(-x)
+        den = phi * ex - amp * np.expm1(-x)
         mean = amp * x / den
-        return (np.log(den) + x - family.eta, mean,
-                mean * ((family.phi * (1.0 + x) * ex + amp * _gamma_p2(x)) / den))
+        var = mean * ((phi * (1.0 + x) * ex + amp * _gamma_p2(x)) / den)
+        # k3 / mean = 2 g^2 - g + x (mean - x) with g = var / mean, and
+        # mean - x written as x (1 - phi) / (1 - e^-eta) e^-x / den, uncancelled.
+        g = var / mean
+        excess = x * ((1.0 - phi) / -math.expm1(-family.eta)) * ex / den
+        k3 = mean * (2.0 * g * g - g + x * excess)
+        if phi == 0.0:
+            # Zero-truncated: below x = 1e-150, before x^2 underflows, the
+            # survivors are 1 plus a Bernoulli(x / 2): mean 1, var = k3 = x / 2.
+            tiny = x < 1e-150
+            mean = np.where(tiny, 1.0, mean)
+            var, k3 = np.where(tiny, 0.5 * x, var), np.where(tiny, 0.5 * x, k3)
+        return np.log(den) + x - family.eta, mean, var, k3
     if isinstance(family, Addams):
         alpha, gamma = family.alpha, family.gamma
         if alpha == 0.0:
@@ -480,17 +493,21 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         y = a * e
         log_l = (e / alpha) * np.where(y == 0.0, 1.0, np.log1p(y) / y)
         big = (np.log(a) - t + np.log1p(c * np.exp(t) / a)) / (a * alpha)
-        return np.where(np.isfinite(y), log_l, big), mean, dispersion * mean
+        # RFV' = alpha RFV gives k3 = 2 var^2 / mean - alpha var.
+        var = dispersion * mean
+        return (np.where(np.isfinite(y), log_l, big), mean, var,
+                var * (2.0 * dispersion - alpha))
     if isinstance(family, KPoint):
         z = np.asarray(family.support)
-        norm, mean, var, _ = _kernels.kpoint_central_moments(
+        norm, mean, var, k3 = _kernels.kpoint_central_moments(
             z, np.asarray(family.probs), np.ravel(s))
         return (np.log(norm).reshape(s.shape) - z[0] * s,
-                z[0] + mean.reshape(s.shape), var.reshape(s.shape))
+                z[0] + mean.reshape(s.shape), var.reshape(s.shape), k3.reshape(s.shape))
     if isinstance(family, GammaFrailty):
         m, v = family.mean, family.variance
         base = 1.0 + (v / m) * s
-        return -(m * m / v) * np.log(base), m / base, v / base**2
+        mean, var = m / base, v / base**2
+        return -(m * m / v) * np.log(base), mean, var, 2.0 * var * (var / mean)
     raise UnsupportedFamily(f"not a frailty family: {family!r}")
 
 
@@ -530,7 +547,7 @@ def laplace(family: FrailtyFamily, s) -> LaplaceTriple:
     raises :class:`NumericalOverflow` rather than returning non-finite values.
     """
     arr = check_grid(s)
-    log_l, mean, var = _survivor_triple(family, arr)
+    log_l, mean, var, _ = _survivor_triple(family, arr)
     with np.errstate(all="ignore"):
         l0 = np.exp(np.minimum(log_l, 0.0))
         triple = LaplaceTriple(l0, -mean * l0, (var + mean * mean) * l0)

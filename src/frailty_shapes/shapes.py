@@ -8,12 +8,13 @@ The relative frailty variance (RFV) at generic time ``lam`` is
 
 the survivors' variance L''/L - (L'/L)^2 over their squared mean (L'/L)^2.
 This module evaluates that ratio from each family's survivor mean and
-variance (:func:`rfv_at`), the per-family closed forms
-(:func:`rfv_closed_at`), the derivative in ``lam`` (:func:`rfv_derivative`),
-locates and classifies stationary points, and classifies the tail behaviour
-structurally from the smallest support point: mass at zero drives the RFV to
-infinity, a positive minimum drives it to zero, and constant-RFV families
-stay flat.
+variance (:func:`rfv_at`) and from the per-family closed forms
+(:func:`rfv_closed_at`).  With k3 the survivors' third central moment, the
+derivative (:func:`rfv_derivative`) is (2 Var^2 / mean - k3) / mean^2 for
+every family; its roots are the stationary points, classified by thresholds
+relative to the RFV.  The tail behaviour is classified structurally from the
+smallest support point: mass at zero drives the RFV to infinity, a positive
+minimum drives it to zero, and constant-RFV families stay flat.
 """
 
 from __future__ import annotations
@@ -50,10 +51,15 @@ SCAN_INTERVALS = 4096
 BISECT_TOL = 1e-12
 
 #: A root where |RFV''| lambda^2 falls below this fraction of the RFV is a
-#: saddle.  The test is relative in both directions: an RFV of any size, and
-#: a time axis in any unit (RFV'' lambda^2 keeps the RFV's unit), classify
+#: saddle, and so is a tangential root refined to |RFV'| lambda below it.  The
+#: tests are relative in both directions: an RFV of any size, and a time axis
+#: in any unit (RFV' lambda and RFV'' lambda^2 keep the RFV's unit), classify
 #: alike.
 SADDLE_TOL = 1e-8
+
+#: A local minimum of |RFV'| with |RFV'| lambda at most this fraction of the
+#: RFV is a candidate tangential root.
+DIP_TOL = 1e-6
 
 
 class TailClass(str, enum.Enum):
@@ -90,7 +96,7 @@ class ShapeCurve:
 def _triple_rfv(family: FrailtyFamily, arr: np.ndarray) -> np.ndarray:
     """The RFV (variance / mean) / mean of the survivor triple at the checked
     grid ``arr``; finite exactly where the RFV is representable."""
-    _, mean, var = _survivor_triple(family, arr)
+    _, mean, var, _ = _survivor_triple(family, arr)
     return (var / mean) / mean
 
 
@@ -109,6 +115,10 @@ def crf_at(family: FrailtyFamily, lam):
 
 def zmp_derivative_terms(family: ZeroModifiedPoisson, lam):
     """(offset, ratio) with RFV'(lam) = RFV_Poisson(lam) * (1 + offset / ratio).
+
+    The paper's factorisation of the zero-modified-Poisson derivative, checked
+    by :mod:`frailty_shapes.verify`; :func:`rfv_derivative` does not use it,
+    since 1 + offset / ratio cancels as phi -> 0.
 
     ``offset`` is the zero-modification contrast (phi - 1) / (1 - phi e^-eta);
     ``ratio`` at lam equals exp(u) / (1 + u + u^2) with u = eta * exp(-lam).
@@ -181,53 +191,19 @@ def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
 
 
 def rfv_derivative(family: FrailtyFamily, lam):
-    """d RFV / d lam; analytic where the closed form factors cleanly,
-    otherwise from the survivors' central moments.  Raises
+    """d RFV / d lam from the survivors' mean, variance and third central
+    moment, one scale-free expression for every family.  Raises
     :class:`NumericalOverflow` unless it is finite at every point."""
     arr = check_grid(lam)
-    with np.errstate(all="ignore"):
-        return _finite_result(_rfv_derivative(family, arr), arr, f"RFV derivative of {family}")
+    return _finite_result(_rfv_derivative(family, arr), arr, f"RFV derivative of {family}")
 
 
+@np.errstate(all="ignore")
 def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
-    if isinstance(family, (NegBin, Binomial, Poisson)):
-        return _rfv_closed(family, lam)
-    if isinstance(family, NegBinPositive):
-        return -_rfv_closed(family, lam)
-    if isinstance(family, Shifted):
-        p = family.p
-        inner = family.inner
-        if isinstance(inner, Poisson):
-            x = inner.eta * np.exp(-lam)
-            c = x + p
-            return x * (x - p) / c / c / c
-        if isinstance(inner, NegBin):
-            q = 1.0 - inner.pi
-            e = np.exp(lam)
-            c = inner.nu * q + p * (e - q)
-            return inner.nu * q * e * (q * (inner.nu - p) - p * e) / c / c / c
-        q = 1.0 - inner.pi  # Binomial
-        x = inner.pi * np.exp(-lam) * (p + inner.n)
-        c = x + p * q
-        return q * inner.pi * inner.n * np.exp(-lam) * (x - p * q) / c / c / c
-    if isinstance(family, ZeroModifiedPoisson):
-        offset, ratio = zmp_derivative_terms(family, lam)
-        return (np.exp(lam) / family.eta) * (1.0 + offset / np.asarray(ratio))
-    if isinstance(family, Addams):
-        return family.alpha * family.gamma * np.exp(family.alpha * lam)
-    if isinstance(family, GammaFrailty):
-        return np.zeros_like(lam)
-    if isinstance(family, KPoint):
-        # d/dlam of Var / mean^2 with dmean/dlam = -Var and dVar/dlam = -k3,
-        # from the survivors' central moments; the mean is z_1 plus its offset.
-        z = np.asarray(family.support)
-        _, offset, var, k3 = _kernels.kpoint_central_moments(
-            z, np.asarray(family.probs), np.atleast_1d(lam))
-        mean = z[0] + offset
-        with np.errstate(all="ignore"):
-            out = 2.0 * (var / mean) ** 2 / mean - (k3 / mean) / mean
-        return out.reshape(lam.shape)
-    raise UnsupportedFamily(f"not a frailty family: {family!r}")
+    """d/dlam of Var / mean^2 with dmean/dlam = -Var and dVar/dlam = -k3,
+    each term divided by the mean before it can leave range."""
+    _, mean, var, k3 = _survivor_triple(family, lam)
+    return 2.0 * (var / mean) ** 2 / mean - (k3 / mean) / mean
 
 
 def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> np.ndarray:
@@ -262,16 +238,17 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     Sign changes of RFV' on a uniform scan grid (``lambda_max / 4096`` steps)
     are refined by bisection and classified min/max/saddle by the second
     derivative; tangential roots, where RFV' touches zero without changing
-    sign (the zero-modified-Poisson saddle), are picked up from near-zero
-    local minima of |RFV'| and refined on the derivative of RFV'.  Each
-    stage refines all of its brackets together.
+    sign (the zero-modified-Poisson saddle), are picked up from local minima
+    of |RFV'| where |RFV'| lambda is at most ``DIP_TOL`` times the RFV, and
+    refined on the derivative of RFV'.  Each stage refines all of its brackets together.
+    Grid points where the RFV has left float64 range take part in no test.
     """
     lambda_max = _spec.positive(float(lambda_max), "lambda_max")
     if classify_tail(family) is TailClass.CONSTANT:
         return ()  # constant RFV: no isolated stationary points
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     spacing = grid[1]
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # inf and nan past the float64 range
         d = _rfv_derivative(family, grid)
         sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
         roots = _bisect(lambda x: _rfv_derivative(family, x),
@@ -281,17 +258,17 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
         # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
         a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
-        scale = 1.0 + np.abs(rfv_at(family, grid))
+        rfv = _triple_rfv(family, grid)
         dips = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
-                 & (a[i] <= 1e-6 * scale[i]) & ~np.isin(i, sign_change)
+                 & (a[i] * grid[i] <= DIP_TOL * rfv[i]) & ~np.isin(i, sign_change)
                  & ~np.isin(i - 1, sign_change)]
         g_lo = _second_derivative(family, grid[dips - 1], spacing)
         g_hi = _second_derivative(family, grid[dips + 1], spacing)
         folds = g_lo * g_hi < 0.0
         saddles = _bisect(lambda x: _second_derivative(family, x, spacing),
                           grid[dips - 1][folds], grid[dips + 1][folds], g_lo[folds])
-        saddles = saddles[np.abs(_rfv_derivative(family, saddles))
-                          < SADDLE_TOL * (1.0 + np.abs(_triple_rfv(family, saddles)))]
+        saddles = saddles[np.abs(_rfv_derivative(family, saddles)) * saddles
+                          < SADDLE_TOL * _triple_rfv(family, saddles)]
     points = [StationaryPoint(lam, kind) for lam, kind in zip(roots.tolist(), kinds.tolist())]
     points += [StationaryPoint(lam, "saddle") for lam in saddles.tolist()]
     return tuple(sorted(points, key=lambda p: p.lam))

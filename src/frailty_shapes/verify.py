@@ -474,7 +474,7 @@ def _crit_addams_ode() -> list:
                        - gamma * np.exp(alpha * grid))
         checks.append(_below(f"defining-relation residual (alpha={alpha})",
                              float(np.max(resid)), 1e-8))
-        log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), grid)
+        log_l, mean, _, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), grid)
         gap = max(float(np.max(np.abs(log_l - np.log(l0[idx])))),
                   float(np.max(np.abs(mean + l1[idx] / l0[idx]))))
         checks.append(_below(f"closed form vs ODE log L and mean (alpha={alpha})",

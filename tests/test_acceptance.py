@@ -100,8 +100,8 @@ def test_addams_rk4_is_fourth_order(alpha, gamma):
     def error(step):
         n = round(5.0 / step)
         l0, l1 = _addams_ode(alpha, gamma, step, n)
-        log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma),
-                                          step * np.arange(n + 1))
+        log_l, mean, _, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma),
+                                             step * np.arange(n + 1))
         return max(np.max(np.abs(log_l - np.log(l0))), np.max(np.abs(mean + l1 / l0)))
 
     # a fourth-order method cuts its error 16x when the step halves

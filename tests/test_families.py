@@ -242,8 +242,9 @@ class TestAddamsClosedForm:
             fam = Addams(alpha=alpha, gamma=0.5)
             c = 0.5 / alpha
             for s in (800.0, 1e4):
-                log_l, mean, var = _survivor_triple(fam, np.asarray(s))
+                log_l, mean, var, k3 = _survivor_triple(fam, np.asarray(s))
                 assert np.isfinite(log_l) and np.isfinite(mean) and np.isfinite(var)
+                assert np.isfinite(k3)
                 if alpha < 0.0:
                     assert_allclose(mean, 1.0 / (1.0 - c), rtol=1e-15)
                 else:
@@ -269,10 +270,10 @@ class TestAddamsClosedForm:
         # 1 - c loses eight digits in float64
         mpmath.mp.dps = 50
         s = np.array([0.0, 1e-6, 0.5, 3.0, 20.0, 100.0])
-        log_one, mean_one, _ = _survivor_triple(Addams(alpha=alpha, gamma=alpha), s)
+        log_one, mean_one, _, _ = _survivor_triple(Addams(alpha=alpha, gamma=alpha), s)
         assert_allclose(log_one, np.expm1(-alpha * s) / alpha, rtol=1e-15, atol=0.0)
         for gamma in (alpha * (1.0 - 1e-8), alpha * (1.0 + 1e-8)):
-            log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
+            log_l, mean, _, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
             c = mpmath.mpf(gamma) / mpmath.mpf(alpha)
             ref_log, ref_mean = [], []
             for si in s:
@@ -299,7 +300,7 @@ class TestAddamsClosedForm:
 
             sol = solve_ivp(rhs, (0.0, 8.0), (1.0, -1.0), method="DOP853",
                             rtol=1e-12, atol=1e-250, t_eval=s, max_step=0.1)
-            log_l, mean, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
+            log_l, mean, _, _ = _survivor_triple(Addams(alpha=alpha, gamma=gamma), s)
             assert_allclose(log_l, np.log(sol.y[0]), rtol=1e-10, atol=0.0)
             assert_allclose(mean, -sol.y[1] / sol.y[0], rtol=1e-10, atol=0.0)
 

@@ -1,9 +1,11 @@
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -131,16 +133,87 @@ class TestKPointClosedForm:
 
 def _mp_survivor_moments(fam, lam):
     """Survivor mean, variance, third central moment and RFV of a k-point
-    family at 50 digits, each moment summed about the mean."""
+    family at 50 digits, each moment summed about the mean.  The mean is
+    z_1 plus its offset from z_1, so an offset far below 1e-50 of z_1 still
+    carries all its digits into the central moments."""
     mpmath.mp.dps = 50
     z = [mpmath.mpf(v) for v in fam.support]
-    w = [mpmath.mpf(p) * mpmath.exp(-zk * mpmath.mpf(float(lam)))
-         for zk, p in zip(z, fam.probs)]
+    dz = [zk - z[0] for zk in z]
+    w = [mpmath.mpf(p) * mpmath.exp(-d * mpmath.mpf(float(lam)))
+         for d, p in zip(dz, fam.probs)]
     norm = mpmath.fsum(w)
-    mean = mpmath.fsum(zk * wk for zk, wk in zip(z, w)) / norm
-    var = mpmath.fsum((zk - mean) ** 2 * wk for zk, wk in zip(z, w)) / norm
-    k3 = mpmath.fsum((zk - mean) ** 3 * wk for zk, wk in zip(z, w)) / norm
+    offset = mpmath.fsum(d * wk for d, wk in zip(dz, w)) / norm
+    var = mpmath.fsum((d - offset) ** 2 * wk for d, wk in zip(dz, w)) / norm
+    k3 = mpmath.fsum((d - offset) ** 3 * wk for d, wk in zip(dz, w)) / norm
+    mean = z[0] + offset
     return mean, var, k3, var / mean**2
+
+
+def _mp_survivor_cumulants(fam, lam):
+    """Survivor mean, variance and third central moment of any family at
+    generic time ``lam``, with digits to spare for a variance of order
+    e^-lam beside a mean of order 1.  Lattice families go through their
+    survivors' factorial moments, the Addams family through the derivatives
+    of its survivor mean, which are -Var and k3."""
+    if isinstance(fam, fs.KPoint):
+        return _mp_survivor_moments(fam, lam)[:3]
+    mpmath.mp.dps = 60 + int(lam / 2.0)
+    s = mpmath.mpf(float(lam))
+    if isinstance(fam, (fs.Shifted, fs.NegBinPositive)):
+        inner, p = ((fam.inner, fam.p) if isinstance(fam, fs.Shifted)
+                    else (fs.NegBin(pi=fam.pi, nu=fam.nu), fam.nu))
+        mean, var, k3 = _mp_survivor_cumulants(inner, lam)
+        return mean + p, var, k3
+    if isinstance(fam, fs.GammaFrailty):
+        m, v = mpmath.mpf(fam.mean), mpmath.mpf(fam.variance)
+        shape, scale = m * m / v, (v / m) / (1 + (v / m) * s)
+        return shape * scale, shape * scale**2, 2 * shape * scale**3
+    if isinstance(fam, fs.Addams):
+        if fam.alpha == 0.0:
+            return _mp_survivor_cumulants(fs.GammaFrailty(mean=1.0, variance=fam.gamma), lam)
+        mpmath.mp.dps += int(abs(fam.alpha) * lam)  # var ~ e^(alpha lam) beside 1
+        c, a = mpmath.mpf(fam.gamma) / fam.alpha, mpmath.mpf(fam.alpha)
+        mean = lambda t: 1 / (1 + c * mpmath.expm1(a * t))  # noqa: E731
+        return mean(s), -mpmath.diff(mean, s), mpmath.diff(mean, s, 2)
+    if isinstance(fam, fs.Poisson):
+        x = fam.eta * mpmath.exp(-s)
+        f = [x, x**2, x**3]
+    elif isinstance(fam, fs.NegBin):
+        qe = (1 - mpmath.mpf(fam.pi)) * mpmath.exp(-s)
+        r, nu = qe / (1 - qe), mpmath.mpf(fam.nu)
+        f = [nu * r, nu * (nu + 1) * r**2, nu * (nu + 1) * (nu + 2) * r**3]
+    elif isinstance(fam, fs.Binomial):
+        pe = fam.pi * mpmath.exp(-s)
+        t, n = pe / (1 - mpmath.mpf(fam.pi) + pe), fam.n
+        f = [n * t, n * (n - 1) * t**2, n * (n - 1) * (n - 2) * t**3]
+    else:  # ZeroModifiedPoisson: weight phi on 0, amp x^k / k! on k >= 1
+        eta, phi = mpmath.mpf(fam.eta), mpmath.mpf(fam.phi)
+        amp = (1 - phi * mpmath.exp(-eta)) / -mpmath.expm1(-eta)
+        x = eta * mpmath.exp(-s)
+        c = amp * mpmath.exp(x) / (phi + amp * mpmath.expm1(x))
+        f = [c * x, c * x**2, c * x**3]
+    m1, m2, m3 = f[0], f[1] + f[0], f[2] + 3 * f[1] + f[0]
+    return m1, m2 - m1**2, m3 - 3 * m1 * m2 + 2 * m1**3
+
+
+#: The four built-in k-point sets and one family of every other kind.
+DERIVATIVE_CASES = {
+    **KPOINT_EXAMPLES,
+    "poisson": fs.Poisson(eta=2.0),
+    "negbin": fs.NegBin(pi=0.5, nu=2.0),
+    "binomial": fs.Binomial(pi=0.3, n=5),
+    "negbin-positive": fs.NegBinPositive(pi=0.4, nu=2),
+    "shifted-poisson": fs.Shifted(inner=fs.Poisson(eta=2.0), p=1.0),
+    "shifted-negbin": fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.4),
+    "shifted-binomial": fs.Shifted(inner=fs.Binomial(pi=0.5, n=4), p=1.0),
+    "zero-truncated": fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0),
+    "zero-deflated": fs.ZeroModifiedPoisson(eta=3.0, phi=0.05),
+    "zero-inflated": fs.ZeroModifiedPoisson(eta=2.0, phi=2.0),
+    # RFV' = alpha RFV: the sign of a slow exponent survives the cancellation
+    "addams-rising": fs.Addams(alpha=1e-3, gamma=0.5),
+    "addams-falling": fs.Addams(alpha=-1e-3, gamma=0.5),
+    "gamma": fs.GammaFrailty(mean=1.0, variance=0.5),
+}
 
 
 class TestDerivative:
@@ -167,18 +240,28 @@ class TestDerivative:
         d = np.asarray(rfv_derivative(fs.NegBinPositive(pi=0.4, nu=2.0), lam))
         assert np.all(d < 0.0)
 
-    @pytest.mark.parametrize("name", sorted(KPOINT_EXAMPLES))
-    def test_kpoint_derivative_matches_high_precision(self, name):
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_CASES))
+    @given(lams=st.lists(st.floats(0.0, 700.0), min_size=1, max_size=8))
+    @example(lams=np.linspace(0.0, 60.0, 121).tolist() + [37.578, 38.533, 300.0])
+    # the zero-truncated Poisson's RFV' once cancelled to exactly 0.0 from
+    # lam = 17.42 on, and overflowed through e^lam past lam ~ 709
+    @example(lams=[17.5, 20.0, 300.0, 700.0])
+    def test_derivative_matches_high_precision(self, name, lams):
         # RFV' = (2 Var^2 - k3 mean) / mean^3; near a root the two terms
         # cancel, so the error is measured against their size
-        fam = KPOINT_EXAMPLES[name]
-        lam = np.concatenate((np.linspace(0.0, 60.0, 121), [37.578, 38.533, 300.0]))
-        got = rfv_derivative(fam, lam)
-        for x, g in zip(lam, got):
-            mean, var, k3, _ = _mp_survivor_moments(fam, x)
+        fam = DERIVATIVE_CASES[name]
+        got = np.atleast_1d(rfv_derivative(fam, lams))
+        for x, g in zip(lams, got):
+            mean, var, k3 = _mp_survivor_cumulants(fam, x)
             ref = (2 * var**2 - k3 * mean) / mean**3
-            size = abs(2 * var**2 / mean**3) + abs(k3 / mean**2)
-            assert abs(g - float(ref)) <= 1e-13 * float(size)
+            size = float(abs(2 * var**2 / mean**3) + abs(k3 / mean**2))
+            if size < sys.float_info.min:
+                continue  # the terms themselves are subnormal
+            assert abs(g - float(ref)) <= 1e-13 * size, (x, g, ref)
+            if isinstance(fam, fs.Addams):
+                assert np.sign(g) == np.sign(fam.alpha)
+            if isinstance(fam, fs.ZeroModifiedPoisson) and fam.phi == 0.0:
+                assert g < 0.0  # the zero-truncated RFV decreases strictly
 
 
 def _mp_shifted_rfv(fam, lam):
@@ -311,6 +394,44 @@ class TestStationaryPoints:
         assert [p.kind for p in pts] == ["saddle"]
         assert abs(pts[0].lam - math.log(eta)) < 1e-8
         assert type(pts[0].lam) is float
+
+    @pytest.mark.parametrize("fam", [
+        fs.Poisson(eta=2.0),
+        fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.4),
+        fs.ZeroModifiedPoisson(eta=3.0, phi=0.05),
+        fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0),
+    ], ids=["poisson", "shifted-negbin", "zero-deflated", "zero-truncated"])
+    def test_scan_runs_past_the_float64_range(self, fam):
+        # Well before lam = 1000 the RFV overflows or its survivor moments
+        # underflow to 0; the scan neither raises nor warns there, and finds
+        # the same points as on [0, 10]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = stationary_points(fam, 1000.0)
+        assert [p.kind for p in far] == [p.kind for p in stationary_points(fam, 10.0)]
+
+
+ZERO_TRUNCATED = fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0)
+
+
+class TestZeroTruncatedTail:
+    # The zero-truncated Poisson's RFV falls strictly, like x / 2 with
+    # x = eta e^-lam, toward the limit 0 of survivors that all sit at 1.
+    def test_no_stationary_point_and_no_overflow(self):
+        assert stationary_points(ZERO_TRUNCATED, 100.0) == ()
+        shape = curve(ZERO_TRUNCATED, np.linspace(0.0, 900.0, 51))
+        assert shape.stationary_points == ()
+        assert not shape.overflow.any()
+        # x underflows to 0 from lam = 756 (index 42) on
+        assert np.all(shape.rfv[42:] == 0.0)
+        assert np.all(np.diff(shape.rfv[:42]) < 0.0)
+        assert rfv_at(ZERO_TRUNCATED, 750.0) == 0.0
+
+    @pytest.mark.parametrize("lam", [300.0, 400.0, 700.0])
+    def test_rfv_where_x_squared_underflows(self, lam):
+        # past lam ~ 354, x^2 underflows, and the variance x / 2 must not
+        mean, var, _ = _mp_survivor_cumulants(ZERO_TRUNCATED, lam)
+        assert_allclose(rfv_at(ZERO_TRUNCATED, lam), float(var / mean**2), rtol=1e-14)
 
 
 class TestZmpDerivativeTerms:
@@ -490,6 +611,24 @@ def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
             continue
         if ref is not None:
             assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-12, (lam, got, ref)
+
+
+@settings(max_examples=100)
+@given(st.one_of(wide_families, st.builds(fs.ZeroModifiedPoisson, eta=st.floats(1e-3, 700.0),
+                                          phi=st.just(0.0))),
+       st.floats(0.1, 1e3))
+@example(ZERO_TRUNCATED, 100.0)
+@example(ZERO_TRUNCATED, 900.0)
+def test_reported_extrema_are_extrema_of_the_rfv(fam, lambda_max):
+    for point in stationary_points(fam, lambda_max):
+        if point.kind == "saddle":
+            continue
+        h = max(1e-4 * point.lam, 1e-6)
+        left, mid, right = rfv_at(fam, [max(point.lam - h, 0.0), point.lam, point.lam + h])
+        if point.kind == "max":
+            assert mid >= max(left, right), (point, left, mid, right)
+        else:
+            assert mid <= min(left, right), (point, left, mid, right)
 
 
 def test_builtin_example_sets_are_distributions():
