@@ -19,47 +19,42 @@ def active_backend() -> str:
 _BLOCK_BYTES = 1 << 19
 
 
-def survivor_moment_grid(z, g, lam):
-    """Conditional weights and first two moments of Z - z_min given survival.
+def survivor_moment_grid(z, log_g, lam):
+    """Log of the total weight, mean and variance of Z - z_min, and the
+    probability of z_min, among survivors at each point of the 1-d grid
+    ``lam``, on the ascending support ``z``; ``nan`` where a row of ``log_g``
+    is all ``-inf``, which the caller rejects.
 
-    Parameters
-    ----------
-    z : 1-d array
-        Support, ascending.
-    g : array or callable
-        Probabilities, or one row of weights per lam, or a function that
-        takes a slice of rows and returns the weight rows of that slice.
-    lam : 1-d array
-        Generic-time points.
-
-    Returns
-    -------
-    norm, m1, m2, first : 1-d arrays
-        Total conditional weight, recentred first and second moments, and the
-        conditional probability of the smallest support point; ``nan`` where
-        ``norm`` is 0, which the caller rejects.
-
-    The weights ``g * exp(-lam (z - z_min))`` are formed one block of rows at
-    a time, and a callable ``g`` builds its rows one block at a time too.
+    ``log_g`` holds log-probabilities, or is a function that takes a slice of
+    rows and returns one row of log-weights per lam of that slice.  Each
+    row's ``log_g - lam (z - z_min)`` is shifted by its largest before
+    ``exp``, so the sums stay in range however far ``g`` underflows, and the
+    variance is summed about the mean.  Rows are formed one block at a time.
     Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover group of
     rows in another order, so only such blocks give every row the same bits
     as one product over the whole grid.
     """
     dz = z - z[0]
-    dz2 = dz * dz
     n = lam.shape[0]
     rows = max(64, _BLOCK_BYTES // (8 * dz.size) // 64 * 64)
-    norm, s1, s2, g0 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    for start in range(0, n, rows):
-        blk = slice(start, start + rows)
-        g_blk = g(blk) if callable(g) else g[blk] if g.ndim == 2 else g
-        w = g_blk * np.exp(np.multiply.outer(-lam[blk], dz))
-        norm[blk] = w.sum(axis=1)
-        s1[blk] = w @ dz
-        s2[blk] = w @ dz2
-        g0[blk] = g_blk[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return norm, s1 / norm, s2 / norm, g0 / norm
+    log_norm, mean, var, g0 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    # lam (z - z_min) past float64 is a weight of 0; an all -inf row gives nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            blk = slice(start, start + rows)
+            w = np.multiply.outer(lam[blk], dz)
+            np.subtract(log_g(blk) if callable(log_g) else log_g, w, out=w)
+            top = w.max(axis=1)
+            w -= top[:, None]
+            np.exp(w, out=w)
+            norm = w.sum(axis=1)
+            log_norm[blk] = top + np.log(norm)
+            mean[blk] = w @ dz / norm
+            c = dz - mean[blk, None]
+            c *= c
+            var[blk] = np.einsum("ij,ij->i", w, c) / norm
+            g0[blk] = w[:, 0] / norm
+    return log_norm, mean, var, g0
 
 
 def kpoint_rfv_grid(z, pr, lam):

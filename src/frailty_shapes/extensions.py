@@ -8,8 +8,8 @@ Three constructions reuse the same Laplace-transform machinery:
   survivor function is W's Laplace transform evaluated at
   ``d(t) = sum_j eta_j (1 - exp(-H_j(t_j)))`` and the cross-ratio becomes a
   function of ``d`` alone.  The cross-ratio here is no longer ``1 + RFV`` of
-  any single frailty: the model gives it as ``crf_of_d`` (or at a time
-  vector, ``correlated_crf``), beside ``d_of_t``, ``joint_survival``,
+  any single frailty: the model gives it as ``crf_of_d`` (at a time vector,
+  ``crf_of_d(d_of_t(t))``), beside ``d_of_t``, ``joint_survival``,
   ``frailty_correlation`` and the joint draws of ``sample``.
 * :class:`PiecewiseFrailtyModel` -- the acting frailty is redrawn (or carried
   over) at fixed calendar cutpoints; segments may be independent, identical
@@ -105,9 +105,6 @@ class CorrelatedPoissonModel:
         """Cross-ratio between any two targets: the mixer's CRF at d."""
         return crf_at(self.w_dist, d)
 
-    def correlated_crf(self, t) -> float:
-        return self.crf_of_d(self.d_of_t(t))
-
     def frailty_correlation(self, j: int, j_prime: int) -> float:
         """corr(Z^(j), Z^(j')) induced by the shared mixer."""
         j, j_prime = _spec.target_pair(j, j_prime, len(self.etas))
@@ -132,7 +129,8 @@ class CorrelatedPoissonModel:
             mixer = lambda rng, size: rng.gamma(shape, scale, size=size)
         else:
             table = support_table(self.w_dist)
-            mixer = lambda rng, size: table.z[_inverse_cdf(table, rng.random(size))]
+            cdf = np.cumsum(table.pmf)
+            mixer = lambda rng, size: table.z[_inverse_cdf(cdf, rng.random(size))]
         sizes = [min(_io._BLOCK_ROWS, n - s) for s in range(0, n, _io._BLOCK_ROWS)]
         replay, rng = _philox(seed, _STREAM_CORRELATED), _philox(seed, _STREAM_CORRELATED)
         for size in sizes:
@@ -262,15 +260,16 @@ def _named_coupling_load(model: PiecewiseFrailtyModel, loads: np.ndarray):
     return loads[..., -1] if model.joint_coupling == "independent" else loads.sum(axis=-1)
 
 
-def _coupled_prior(model: PiecewiseFrailtyModel, loads: np.ndarray) -> np.ndarray:
-    """One row per row of the ``(n, Q)`` ``loads``: the final segment's
-    P(Z_Q = z_k) * P(survive the earlier segments | Z_Q = z_k)."""
+def _coupled_log_prior(model: PiecewiseFrailtyModel, loads: np.ndarray) -> np.ndarray:
+    """One row per row of the ``(n, Q)`` ``loads``: the log of the final
+    segment's P(Z_Q = z_k) * P(survive the earlier segments | Z_Q = z_k)."""
     carry = model.joint_coupling.conditional[None]  # einsum broadcasts it over rows
     for q, family in enumerate(model.segment_families[:-1]):
         # sum segment q's axis against its survival factor exp(-z load_q)
         survive = np.exp(-np.multiply.outer(loads[:, q], support_table(family).z))
         carry = np.einsum("nk,nk...->n...", survive, carry)
-    return carry * support_table(model.segment_families[-1]).pmf
+    with np.errstate(divide="ignore"):  # a prior of 0 is a log-weight of -inf
+        return np.log(carry * support_table(model.segment_families[-1]).pmf)
 
 
 def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
@@ -280,8 +279,8 @@ def piecewise_survivor_pmf(model: PiecewiseFrailtyModel, t) -> SurvivorPmf:
         load = float(_named_coupling_load(model, loads))
         return survivor_pmf(model.segment_families[-1], load)
     table = support_table(model.segment_families[-1])
-    unnorm = _coupled_prior(model, loads[None])[0] * np.exp(-(table.z - table.z[0]) * loads[-1])
-    return _normalised(float(loads.sum()), table.z, unnorm, table.tail_mass)
+    log_w = _coupled_log_prior(model, loads[None])[0] - (table.z - table.z[0]) * loads[-1]
+    return _normalised(float(loads.sum()), table.z, log_w, table.tail_mass)
 
 
 def piecewise_rfv(model: PiecewiseFrailtyModel, t):
@@ -294,9 +293,9 @@ def piecewise_rfv(model: PiecewiseFrailtyModel, t):
     final = np.asarray(loads[..., -1])
     rows = np.atleast_2d(loads)
     # the kernel builds the prior one block of rows at a time
-    _, m1, m2, _ = _kernels.survivor_moment_grid(
-        table.z, lambda blk: _coupled_prior(model, rows[blk]), np.ravel(final))
-    return _rfv_from_sums("the coupled final segment", final, table.z[0], m1, m2)
+    _, m1, var, _ = _kernels.survivor_moment_grid(
+        table.z, lambda blk: _coupled_log_prior(model, rows[blk]), np.ravel(final))
+    return _rfv_from_sums("the coupled final segment", final, table.z[0], m1, var)
 
 
 def piecewise_tail(model: PiecewiseFrailtyModel):

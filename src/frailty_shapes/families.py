@@ -48,11 +48,14 @@ class LaplaceTriple(NamedTuple):
 
 
 class SupportTable(NamedTuple):
-    """Truncated support with probabilities and the neglected tail mass."""
+    """Truncated support with probabilities, the neglected tail mass, and the
+    log-probabilities ``pmf`` is the ``exp`` of: finite at every retained
+    point, also where ``pmf`` is subnormal or 0."""
 
     z: np.ndarray
     pmf: np.ndarray
     tail_mass: float
+    log_pmf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -359,8 +362,8 @@ def support_table(family: FrailtyFamily, tail: float = TAIL_MASS) -> SupportTabl
 @functools.lru_cache(maxsize=128)
 def _support_table(family: FrailtyFamily, tail: float) -> SupportTable:
     table = _build_support_table(family, tail)
-    table.z.flags.writeable = False
-    table.pmf.flags.writeable = False
+    for values in (table.z, table.pmf, table.log_pmf):
+        values.flags.writeable = False
     return table
 
 
@@ -372,9 +375,10 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
     p, base = _unshift(family)
     if base is not family:
         inner = support_table(base, tail)
-        return SupportTable(inner.z + p, inner.pmf, inner.tail_mass)
+        return inner._replace(z=inner.z + p)
     if isinstance(family, KPoint):
-        return SupportTable(np.asarray(family.support), np.asarray(family.probs), 0.0)
+        probs = np.asarray(family.probs)
+        return SupportTable(np.asarray(family.support), probs, 0.0, np.log(probs))
     # Evaluate out past the mode to a point below e^-46 (~1e-20) times the
     # tail, beyond which nothing can move the truncation or the tail mass.
     mean, var = moments(family)
@@ -389,7 +393,7 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
     k = int(np.argmax(after < tail))
     keep = np.isfinite(log_p[:k + 1])  # a zero-truncated family starts at 1
     z = np.arange(k + 1, dtype=np.float64)
-    return SupportTable(z[keep], p[:k + 1][keep], float(after[k]))
+    return SupportTable(z[keep], p[:k + 1][keep], float(after[k]), log_p[:k + 1][keep])
 
 
 def min_support(family: FrailtyFamily) -> float:
@@ -466,12 +470,18 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         g = var / mean
         excess = x * ((1.0 - phi) / -math.expm1(-family.eta)) * ex / den
         k3 = mean * (2.0 * g * g - g + x * excess)
-        if phi == 0.0:
-            # Zero-truncated: below x = 1e-150, before x^2 underflows, the
-            # survivors are 1 plus a Bernoulli(x / 2): mean 1, var = k3 = x / 2.
-            tiny = x < 1e-150
-            mean = np.where(tiny, 1.0, mean)
-            var, k3 = np.where(tiny, 0.5 * x, var), np.where(tiny, 0.5 * x, k3)
+        # Below x = 1e-150 only the atoms 0, 1, 2 are left, weighted e^t =
+        # phi / (amp x), 1 and x / 2, over max(e^t, 1).  t is summed in logs:
+        # x may be subnormal where the odds are not.
+        tiny = x < 1e-150
+        t = np.log(phi) - math.log(amp) - math.log(family.eta) + s
+        w0, w1 = np.exp(t - np.maximum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
+        total = w0 + w1 + w1 * (0.5 * x)
+        p0, p1, p2 = w0 / total, w1 / total, w1 * (0.5 * x) / total
+        mean = np.where(tiny, p1 + 2.0 * p2, mean)
+        var = np.where(tiny, p0 * p1 + p1 * p2 + 4.0 * p0 * p2, var)
+        k3 = np.where(tiny, p2 * (2.0 * p0 + p1) ** 3 + p1 * (p0 - p2) ** 3
+                      - p0 * (p1 + 2.0 * p2) ** 3, k3)
         return np.log(den) + x - family.eta, mean, var, k3
     if isinstance(family, Addams):
         alpha, gamma = family.alpha, family.gamma

@@ -5,11 +5,12 @@ survivors is distributed as
 
     P(Z = z | T > t)  proportional to  exp(-z * lam) * P(Z = z).
 
-This module computes that distribution by direct summation over the truncated
-support, recentred at the smallest support point so the weights stay in
-floating-point range at any ``lam``.  It serves as an independent cross-check
-of the closed-form shape formulas: the two routes share no code beyond the
-probability tables.
+This module computes that distribution by direct summation over the default
+support table, in log space: each grid point's log-weights
+``log P(Z = z) - lam (z - z_min)`` are shifted by their largest before
+``exp``, so the weights stay in range at any ``lam``, however far ``P(Z = z)``
+underflows.  It serves as an independent cross-check of the closed-form shape
+formulas: the two routes share no code beyond the probability tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import _kernels
 from .errors import DegenerateConditional, NumericalOverflow, ParameterOutOfRange
 from .families import (
     FrailtyFamily,
-    TAIL_MASS,
     _bad_points,
     _finite_result,
     check_grid,
@@ -43,64 +43,56 @@ class SurvivorPmf:
     tail_mass_bound: float
 
 
+@np.errstate(over="ignore")  # lam (z - z_min) past float64 is a weight of 0
 def _survivor_sums(family: FrailtyFamily, lams: np.ndarray):
-    """(table, m1, m2, first, bound) at each point of the 1-d grid ``lams``.
-
-    ``m1``, ``m2`` and ``first`` are the survivor sums of
-    :func:`_kernels.survivor_moment_grid` over the first of three ever finer
-    support tables whose post-conditioning tail bound ``bound`` is below
-    ``TAIL_BOUND`` at every grid point.
-    """
-    for attempt in range(3):
-        table = support_table(family, TAIL_MASS * 10.0 ** (-4 * attempt))
-        z = table.z
-        total, m1, m2, first = _kernels.survivor_moment_grid(z, table.pmf, lams)
-        degenerate = ~((total > 0.0) & np.isfinite(total))
-        if degenerate.any():
-            raise NumericalOverflow(f"survivor weights of {family} degenerate at "
-                                    f"{_bad_points(lams, degenerate, 'lam')}")
-        # Mass beyond the truncation point, after conditioning, is at most
-        # exp(-(z_K - z_1) lam) * tail / total -- conditioning only downweights
-        # support points beyond z_K relative to the retained ones.
-        bound = np.exp(-(z[-1] - z[0]) * lams) * table.tail_mass / total
-        if np.all(bound < TAIL_BOUND):
-            return table, m1, m2, first, bound
-    raise NumericalOverflow(
-        f"could not push the survivor tail bound below {TAIL_BOUND} for {family}"
-    )
+    """(table, m1, var, first, bound) at each point of the 1-d grid ``lams``:
+    the survivor sums of :func:`_kernels.survivor_moment_grid` over the
+    default support table, and a bound on the survivors' mass beyond it."""
+    table = support_table(family)
+    z = table.z
+    log_total, m1, var, first = _kernels.survivor_moment_grid(z, table.log_pmf, lams)
+    # Conditioning downweights the points past z_K against the others, so
+    # their mass among survivors is at most e^-(z_K - z_1) lam tail / total;
+    # by Jensen, total >= (1 - tail) e^-(z_K - z_1) lam: at most tail / (1 - tail).
+    bound = table.tail_mass * np.exp(-(z[-1] - z[0]) * lams - log_total)
+    if not np.all(bound < TAIL_BOUND):
+        raise NumericalOverflow(f"survivor tail bound of {family} is not below {TAIL_BOUND}")
+    return table, m1, var, first, bound
 
 
-def _normalised(lam: float, z: np.ndarray, w: np.ndarray, bound: float) -> SurvivorPmf:
-    """The survivor pmf at ``lam`` from the weights ``w`` on the support ``z``,
-    without the atoms whose conditional probability is 0."""
-    total = w.sum()
-    if not total > 0.0:
+def _normalised(lam: float, z: np.ndarray, log_w: np.ndarray, bound: float) -> SurvivorPmf:
+    """The survivor pmf at ``lam`` from the log-weights ``log_w`` on the
+    support ``z``, without the atoms whose conditional probability is 0."""
+    top = log_w.max()
+    if not top > -np.inf:
         raise DegenerateConditional(f"survivors have probability zero at lam={lam}")
-    probs = w / total
+    w = np.exp(log_w - top)
+    probs = w / w.sum()
     keep = probs > 0.0
     return SurvivorPmf(lam=lam, support=z[keep], probs=probs[keep], tail_mass_bound=bound)
 
 
-def _rfv_from_sums(what: str, lams: np.ndarray, z0: float, m1, m2):
-    """The RFV at ``lams`` from the survivor sums recentred at ``z0``, as
-    (m2 - m1^2) / mean / mean with mean = z0 + m1: dividing twice keeps a
-    mean below 1e-154 from underflowing when squared."""
-    m1, m2 = m1.reshape(lams.shape), m2.reshape(lams.shape)
+def _rfv_from_sums(what: str, lams: np.ndarray, z0: float, m1, var):
+    """The RFV at ``lams`` from the survivors' mean ``m1`` recentred at ``z0``
+    and their variance, as var / mean / mean with mean = z0 + m1: dividing
+    twice keeps a mean below 1e-154 from underflowing when squared."""
+    m1, var = m1.reshape(lams.shape), var.reshape(lams.shape)
     mean = z0 + m1
     vanished = ~(mean > 0.0)  # also nan, where no survivor weight is left
     if vanished.any():
         raise DegenerateConditional(f"survivor mean of {what} vanished at "
                                     f"{_bad_points(lams, vanished, 'lam')}")
     with np.errstate(over="ignore"):
-        return _finite_result((m2 - m1**2) / mean / mean, lams, f"survivor RFV of {what}")
+        return _finite_result(var / mean / mean, lams, f"survivor RFV of {what}")
 
 
+@np.errstate(over="ignore")
 def survivor_pmf(family: FrailtyFamily, lam: float) -> SurvivorPmf:
     """Conditional pmf of Z among survivors at generic time ``lam``."""
     lam = float(check_grid(lam))
     table, _, _, _, bound = _survivor_sums(family, np.array([lam]))
     z = table.z
-    return _normalised(lam, z, table.pmf * np.exp(-(z - z[0]) * lam), float(bound[0]))
+    return _normalised(lam, z, table.log_pmf - (z - z[0]) * lam, float(bound[0]))
 
 
 def survivor_moment(family: FrailtyFamily, lam: float, q: int) -> float:
@@ -115,12 +107,13 @@ def rfv(family: FrailtyFamily, lam):
     """Relative frailty variance Var(Z | T > t) / E(Z | T > t)^2 at ``lam``;
     a float for a scalar ``lam``, else an array.
 
-    Variance is formed from moments recentred at the smallest support point,
-    which keeps it accurate when the survivors concentrate there.
+    The mean is recentred at the smallest support point, which keeps it
+    accurate when the survivors concentrate there, and the variance is summed
+    about the mean, which keeps it accurate when they do not.
     """
     arr = check_grid(lam)
-    table, m1, m2, _, _ = _survivor_sums(family, np.atleast_1d(arr))
-    return _rfv_from_sums(str(family), arr, table.z[0], m1, m2)
+    table, m1, var, _, _ = _survivor_sums(family, np.atleast_1d(arr))
+    return _rfv_from_sums(str(family), arr, table.z[0], m1, var)
 
 
 def smallest_point_prob_grid(family: FrailtyFamily, lams) -> np.ndarray:

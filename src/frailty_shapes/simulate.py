@@ -51,11 +51,11 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _inverse_cdf(table, u: np.ndarray) -> np.ndarray:
-    """The atom of the support ``table`` that each uniform in ``u`` draws by
-    inverse CDF, as an index; the truncated tail mass falls on the last atom."""
-    codes = np.searchsorted(np.cumsum(table.pmf), u, side="right")
-    return np.minimum(codes, table.z.shape[0] - 1).astype(np.int64)
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index of the atom each uniform in ``u`` draws from the CDF ``cdf``
+    of a support table; the truncated tail mass falls on the last atom."""
+    codes = np.searchsorted(cdf, u, side="right")
+    return np.minimum(codes, cdf.shape[0] - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,12 @@ def _chunks(config: SimConfig):
     rows of the one-shot ``(n_clusters, J + 1)`` matrix, bit for bit.
     """
     table = support_table(config.family)
+    cdf = np.cumsum(table.pmf)
     rng = _philox(config.seed, _STREAM_MAIN)
     j, n = len(config.hazards), config.n_clusters
     for start in range(0, n, _io._BLOCK_ROWS):
         u = rng.random((min(_io._BLOCK_ROWS, n - start), j + 1))
-        codes = _inverse_cdf(table, u[:, 0])
+        codes = _inverse_cdf(cdf, u[:, 0])
         z = table.z[codes]
         times = np.empty((u.shape[0], j))
         cured = z == 0.0

@@ -181,6 +181,14 @@ def _crit_tail_limits() -> list:
     return checks
 
 
+def _scan_flips(fam, stop: float) -> np.ndarray:
+    """The points of the grid ``arange(0, stop, 1e-3)`` where the closed-form
+    RFV turns: a dense value scan, independent of :func:`stationary_points`."""
+    grid = np.arange(0.0, stop, 1e-3)
+    sign = np.sign(np.diff(rfv_closed_at(fam, grid)))
+    return grid[np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1]
+
+
 def _crit_stationary_points() -> list:
     """Interior extremum locations match their closed-form expressions."""
     checks = []
@@ -205,14 +213,11 @@ def _crit_stationary_points() -> list:
     checks.append(_is("zero-deflated Poisson: max then min", ok,
                       f"points={[(p.lam, p.kind) for p in pts]}"))
     # Independent confirmation by a dense value scan of the closed form.
-    grid = np.arange(0.0, 10.0, 1e-3)
-    vals = rfv_closed_at(zmp, grid)
-    sign = np.sign(np.diff(vals))
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    flips = _scan_flips(zmp, 10.0)
     checks.append(_is("dense scan sees the same two extrema", flips.size == 2,
-                      f"flip count={flips.size} at {grid[flips + 1].tolist()}"))
+                      f"flip count={flips.size} at {flips.tolist()}"))
     if flips.size == 2 and len(pts) == 2:
-        for flip, pt in zip(grid[flips + 1], pts):
+        for flip, pt in zip(flips, pts):
             checks.append(_close("scan vs refined location", float(flip),
                                  pt.lam, 2e-3))
 
@@ -319,10 +324,7 @@ def _crit_kpoint_examples() -> list:
                           len(pts) <= 3,
                           f"points={[(round(p.lam, 6), p.kind) for p in pts]}"))
         # Cross-check the refined points against a dense value scan.
-        grid = np.arange(0.0, 12.0, 1e-3)
-        vals = rfv_closed_at(fam, grid)
-        sign = np.sign(np.diff(vals))
-        flips = grid[np.nonzero(sign[:-1] * sign[1:] < 0.0)[0] + 1]
+        flips = _scan_flips(fam, 12.0)
         extrema = [p for p in pts if p.kind != "saddle"]
         agree = len(flips) == len(extrema) and all(
             abs(f - p.lam) < 2e-3 for f, p in zip(flips, extrema)
@@ -347,13 +349,13 @@ def _crit_correlated_model() -> list:
                          float(np.max(np.abs(crfs - 1.5))), 1e-12))
     limit = model.crf_of_d(sum(model.etas))
     checks.append(_close("gamma mixer: crf(t=25) vs crf(sum etas)",
-                         model.correlated_crf((25.0, 25.0)), limit, 1e-6))
+                         model.crf_of_d(model.d_of_t((25.0, 25.0))), limit, 1e-6))
     discrete = CorrelatedPoissonModel(etas=(1.0, 2.0),
                                       w_dist=KPoint(support=(0.5, 1.5),
                                                     probs=(0.5, 0.5)),
                                       hazards=hazards)
     checks.append(_close("two-point mixer: crf(t=25) vs crf(sum etas)",
-                         discrete.correlated_crf((25.0, 25.0)),
+                         discrete.crf_of_d(discrete.d_of_t((25.0, 25.0))),
                          discrete.crf_of_d(sum(discrete.etas)), 1e-6))
 
     rho = model.frailty_correlation(0, 1)

@@ -54,7 +54,7 @@ class TestCorrelatedModel:
         m = gamma_model()
         d = np.linspace(0.0, 3.0, 31)
         assert_allclose(m.crf_of_d(d), 1.5, rtol=1e-13)
-        assert_allclose(m.correlated_crf((0.7, 1.3)), 1.5, rtol=1e-13)
+        assert_allclose(m.crf_of_d(m.d_of_t((0.7, 1.3))), 1.5, rtol=1e-13)
 
     def test_discrete_mixture_follows_its_own_rfv(self):
         w = fs.Poisson(eta=2.0)
@@ -294,12 +294,13 @@ class TestCouplingTable:
         times = np.linspace(1.0, 3.0, n)[:, None]
         loads = model.segment_loads(times)
         first, final = (support_table(f) for f in model.segment_families)
-        # every row's prior at once, then the moment sums over the whole grid
+        # every row's prior at once, then the kernel reads its blocks from it
         survive = np.exp(-np.multiply.outer(loads[:, 0], first.z))
-        prior = np.einsum("nk,nk...->n...", survive,
-                          model.joint_coupling.conditional[None]) * final.pmf
-        _, m1, m2, _ = _kernels.survivor_moment_grid(final.z, prior, loads[:, 1])
-        want = _rfv_from_sums("", loads[:, 1], final.z[0], m1, m2)
+        log_prior = np.log(np.einsum("nk,nk...->n...", survive,
+                                     model.joint_coupling.conditional[None]) * final.pmf)
+        _, m1, var, _ = _kernels.survivor_moment_grid(
+            final.z, lambda blk: log_prior[blk], loads[:, 1])
+        want = _rfv_from_sums("", loads[:, 1], final.z[0], m1, var)
         assert np.array_equal(piecewise_rfv(model, times), want)
 
     def test_coupled_working_memory_is_bounded(self):
@@ -517,7 +518,7 @@ def test_correlated_chunks_reproduce_the_one_shot_draw(n, w_dist):
         w = rng.gamma(2.0, 0.5, size=n)
     else:
         table = support_table(w_dist)
-        w = table.z[_inverse_cdf(table, rng.random(n))]
+        w = table.z[_inverse_cdf(np.cumsum(table.pmf), rng.random(n))]
     want = rng.poisson(w[:, None] * np.array([1.0, 2.0])[None, :])
     chunks = list(m._draw_chunks(n, 99))
     assert all(c.shape[0] <= _io._BLOCK_ROWS for c in chunks)

@@ -116,19 +116,41 @@ def test_survivor_pmf_drops_atoms_of_conditional_probability_zero():
     assert np.all(g.probs > 0.0)
 
 
-def test_degenerate_grid_raises_without_warnings():
-    # every weight pmf * exp(-(z - z_0) lam) underflows to 0 on the table of
-    # Poisson(5000); the 0/0 sums must reach the caller as the exception
-    with pytest.raises(fs.NumericalOverflow, match="degenerate at 1 of 1 points"):
-        rfv(fs.Poisson(eta=5000.0), 1.0)
+#: Points where the linear-space pmf near the survivors' mean is subnormal or
+#: 0, so weights formed from it went wrong: the oracle raised, returned 0.0
+#: or lost digits there.
+UNDERFLOWED_PMF = [
+    pytest.param(fs.Poisson(eta=5000.0), 1.0, id="poisson5000"),
+    pytest.param(fs.Binomial(pi=0.2222, n=2946), 4.3495, id="binomial2946"),
+    pytest.param(fs.Poisson(eta=1e6), 1e-3, id="poisson1e6"),
+    pytest.param(fs.Shifted(inner=fs.Poisson(eta=104.6), p=5.0), 675.7, id="shifted_poisson"),
+]
 
 
-def _one_shot_sums(z, g, lam):
-    """The survivor sums from the whole (n, K) weight matrix at once."""
+@pytest.mark.parametrize("fam,lam", UNDERFLOWED_PMF)
+def test_oracle_agrees_where_the_linear_pmf_underflows(fam, lam):
+    # the weights are formed from the log-pmf, each row shifted by its max;
+    # the suite turns any RuntimeWarning into an error
+    assert_allclose(rfv(fam, lam), fs.rfv_at(fam, lam), rtol=1e-8)
+
+
+def test_weights_past_float64_range_vanish_without_warnings():
+    # lam (z - z_min) overflows to inf at lam = 1e308: a weight of 0
+    two_point = fs.KPoint(support=(1.0, 2.0), probs=(0.5, 0.5))
+    assert rfv(two_point, 1e308) == 0.0
+    assert survivor_pmf(two_point, 1e308).support.tolist() == [1.0]
+
+
+def _one_shot_sums(z, log_g, lam):
+    """The survivor sums from the whole (n, K) log-weight matrix at once."""
     dz = z - z[0]
-    w = g * np.exp(-np.outer(lam, dz))
+    a = log_g - np.outer(lam, dz)
+    top = a.max(axis=1)
+    w = np.exp(a - top[:, None])
     norm = w.sum(axis=1)
-    return norm, w @ dz / norm, w @ (dz * dz) / norm, g[..., 0] / norm
+    mean = w @ dz / norm
+    var = np.einsum("ij,ij->i", w, (dz - mean[:, None]) ** 2) / norm
+    return top + np.log(norm), mean, var, w[:, 0] / norm
 
 
 BLOCK_FAMILIES = [fs.Poisson(eta=200.0), fs.NegBin(pi=0.3, nu=4.0)]
@@ -139,20 +161,20 @@ BLOCK_FAMILIES = [fs.Poisson(eta=200.0), fs.NegBin(pi=0.3, nu=4.0)]
 def test_blocked_sums_equal_one_shot_sums_bitwise(fam, n):
     table = support_table(fam)
     lam = np.linspace(0.0, 5.0, n)
-    got = _kernels.survivor_moment_grid(table.z, table.pmf, lam)
-    for blocked, whole in zip(got, _one_shot_sums(table.z, table.pmf, lam)):
+    got = _kernels.survivor_moment_grid(table.z, table.log_pmf, lam)
+    for blocked, whole in zip(got, _one_shot_sums(table.z, table.log_pmf, lam)):
         assert np.array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("fam", BLOCK_FAMILIES, ids=str)
 def test_blocked_sums_with_one_prior_row_per_lam(fam):
     # the coupled piecewise model weighs the final table by the survival of
-    # the earlier segments, one prior row per grid point
+    # the earlier segments, one prior row per grid point, built per block
     table = support_table(fam)
     lam = np.linspace(0.0, 5.0, 4097)
-    prior = table.pmf * np.exp(-np.multiply.outer(lam[::-1] / 7.0, table.z))
-    got = _kernels.survivor_moment_grid(table.z, prior, lam)
-    for blocked, whole in zip(got, _one_shot_sums(table.z, prior, lam)):
+    log_prior = table.log_pmf - np.multiply.outer(lam[::-1] / 7.0, table.z)
+    got = _kernels.survivor_moment_grid(table.z, lambda blk: log_prior[blk], lam)
+    for blocked, whole in zip(got, _one_shot_sums(table.z, log_prior, lam)):
         assert np.array_equal(blocked, whole)
 
 

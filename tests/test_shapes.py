@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import frailty_shapes as fs
+from frailty_shapes import oracle
+from frailty_shapes.families import _survivor_triple
 from frailty_shapes.shapes import (
     KPOINT_EXAMPLES,
     TailClass,
@@ -596,9 +598,23 @@ wide_families = st.one_of(
 
 @settings(max_examples=200)
 @given(wide_families, st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=20))
+# points where the oracle's weights, formed from the linear-space pmf, raised,
+# returned 0.0 or lost digits
+@example(fs.Poisson(eta=5000.0), [1.0])
+@example(fs.Binomial(pi=0.2222, n=2946), [4.3495])
+@example(fs.Poisson(eta=1e6), [1e-3])
+@example(fs.Shifted(inner=fs.Poisson(eta=104.6), p=5.0), [675.7])
+# the survivors sit at 1 with no mass at 0, so m2 - m1^2 cancels in the oracle
+@example(fs.ZeroModifiedPoisson(eta=1.0, phi=1.5e-323), [17.0])
+# x = eta e^-lam is subnormal where the survivors' mean and variance are not
+@example(fs.ZeroModifiedPoisson(eta=1.0, phi=7.67248349316376e-273), [728.0])
+@example(fs.ZeroModifiedPoisson(eta=0.001, phi=5e-324), [339.0, 745.0])
 def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
     # One-directional on purpose: the closed forms that start from e^lam
     # overflow past lam ~ 709.8 even where the RFV itself fits in float64.
+    # The oracle is the third leg wherever the RFV and the survivors' mean
+    # and variance are normal numbers: a subnormal one has lost bits before
+    # any route divides.
     for lam in [0.0, 1000.0] + lams:
         try:
             ref = rfv_closed_at(fam, lam)
@@ -611,6 +627,11 @@ def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
             continue
         if ref is not None:
             assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-12, (lam, got, ref)
+        _, mean, var, _ = _survivor_triple(fam, np.array(lam))
+        if min(got, mean, var) >= sys.float_info.min:
+            brute = oracle.rfv(fam, lam)
+            assert abs(brute - got) <= 1e-8 * got, (lam, brute, got)
+            assert oracle.survivor_pmf(fam, lam).tail_mass_bound < oracle.TAIL_BOUND
 
 
 @settings(max_examples=100)
