@@ -6,6 +6,8 @@ in numpy Generators outside this module.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -58,18 +60,21 @@ def survivor_moment_grid(z, log_g, lam):
 
 
 def kpoint_rfv_grid(z, pr, lam):
-    """Relative frailty variance of a k-point family, (M2 / M1)(M0 / M1) - 1.
-
-    M_q = sum_k z_k^q w_k are single sums over the weights
-    w_k = p_k exp(-(z_k - z_1) lam), recentred at the smallest support point
-    z_1 so they stay in range at any lam (the common factor exp(-z_1 lam)
-    cancels).  This is the pair double sum
-    sum_ab z_a^2 w_a w_b / sum_ab z_a z_b w_a w_b, factorised; dividing before
-    multiplying keeps M1^2 from underflowing when 0 is in the support.
+    """Relative frailty variance of a k-point family as the pair sum
+    sum_{a<b} (w_a d_ab / mean) (w_b d_ab / mean), d_ab = z_b - z_a, with w the
+    survivors' probabilities and mean = sum_k w_k z_k.  Each term is
+    exp(log w_a + log w_b + 2 (log d_ab - log mean)), so none is negative and
+    gaps far below 1e-154, or weights below the float64 range, keep their
+    digits.  The loop over the pairs holds one value per point of ``lam``.
     """
-    w = pr[None, :] * np.exp(-(z - z[0])[None, :] * lam[:, None])
-    m1 = w @ z
-    return ((w @ (z * z)) / m1) * (w.sum(axis=1) / m1) - 1.0
+    log_w = np.multiply.outer(z[0] - z, lam)  # one row per support point
+    log_w += np.log(pr)[:, None]  # <= 0, and log p_1 in the first row: no sum underflows
+    log_w -= np.log(np.exp(log_w).sum(axis=0))
+    log_mean = np.log(z @ np.exp(log_w))
+    rfv = np.zeros(lam.shape)
+    for a, b in itertools.combinations(range(z.size), 2):
+        rfv += np.exp(log_w[a] + log_w[b] + 2.0 * (np.log(z[b] - z[a]) - log_mean))
+    return rfv
 
 
 def kpoint_central_moments(z, pr, lam):

@@ -426,6 +426,13 @@ def _gamma_p2(x: np.ndarray) -> np.ndarray:
                     -np.expm1(-x) - x * np.exp(-x))
 
 
+def _tilted(s: np.ndarray, c: float, near: np.ndarray) -> np.ndarray:
+    """The survivors' scale ``near`` = c e^-s, or (c e^(-s/2)) e^(-s/2) past
+    s = 708.4, where e^-s is subnormal but each factor is normal."""
+    half = np.exp(-0.5 * s)
+    return np.where(s > 708.4, c * half * half, near)
+
+
 @np.errstate(all="ignore")
 def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
     """``(log L, mean, variance, k3)`` of the frailty among survivors at ``s``.
@@ -443,24 +450,26 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
     if isinstance(family, NegBin):
         qe = (1.0 - family.pi) * np.exp(-s)
         r = qe / (1.0 - qe)
-        var = family.nu * r * (1.0 + r)
+        nr = _tilted(s, family.nu * (1.0 - family.pi), family.nu * r)
+        var = nr * (1.0 + r)
         return (family.nu * (math.log(family.pi) - np.log1p(-qe)),
-                family.nu * r, var, var * (1.0 + 2.0 * r))
+                nr, var, var * (1.0 + 2.0 * r))
     if isinstance(family, Binomial):
         pe = family.pi * np.exp(-s)
         base = (1.0 - family.pi) + pe
         t = pe / base  # success probability among survivors
-        var = family.n * t * ((1.0 - family.pi) / base)
-        return family.n * np.log(base), family.n * t, var, var * (1.0 - 2.0 * t)
+        nt = _tilted(s, family.n * family.pi / (1.0 - family.pi), family.n * t)
+        var = nt * ((1.0 - family.pi) / base)
+        return family.n * np.log(base), nt, var, var * (1.0 - 2.0 * t)
     if isinstance(family, Poisson):
-        x = family.eta * np.exp(-s)
+        x = _tilted(s, family.eta, family.eta * np.exp(-s))
         return family.eta * np.expm1(-s), x, x, x
     if isinstance(family, ZeroModifiedPoisson):
         # Survivors put weight phi on 0 and amp x^k / k! on k >= 1, relative
         # to e^-eta.  Every sum is scaled by e^-x so none overflows, and
         # 1 - (1 + x) e^-x is the incomplete gamma P(2, x), without cancellation.
         amp, phi = _zmp_scale(family), family.phi
-        x = family.eta * np.exp(-s)
+        x = _tilted(s, family.eta, family.eta * np.exp(-s))
         ex = np.exp(-x)
         den = phi * ex - amp * np.expm1(-x)
         mean = amp * x / den

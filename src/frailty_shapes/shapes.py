@@ -33,12 +33,13 @@ from .families import (
     GammaFrailty,
     KPoint,
     NegBin,
-    NegBinPositive,
     Poisson,
-    Shifted,
     ZeroModifiedPoisson,
     _finite_result,
+    _gamma_p2,
     _survivor_triple,
+    _unshift,
+    _zmp_scale,
     check_grid,
     family_to_dict,
     min_support,
@@ -134,51 +135,49 @@ def zmp_derivative_terms(family: ZeroModifiedPoisson, lam):
 
 
 def rfv_closed_at(family: FrailtyFamily, lam):
-    """Per-family closed form of the RFV, independent of :func:`laplace`."""
+    """Per-family closed form of the RFV, independent of :func:`laplace`.
+
+    A lattice base moved up by p (p = 0 unshifted) has one form in the
+    survivors' scale, divided twice rather than squared: Poisson
+    x / (x + p)^2 with x = eta e^-lam; NegBin X / (X + p (1 - X / nu))^2 with
+    X = nu (1 - pi) e^-lam; Binomial X / (X + p (1 + X / n))^2 with
+    X = n pi e^-lam / (1 - pi).  ZeroModifiedPoisson is
+    (1 + offset (1 + x) e^-x) / x, offset = (phi - 1) / (1 - phi e^-eta),
+    summed as (phi / amp) / x - offset P(2, x) / x when offset < 0, so that
+    no term is negative.  KPoint is the pair sum of
+    :func:`_kernels.kpoint_rfv_grid`.  Each scale c e^-lam is formed as
+    (c e^(-lam/2)) e^(-lam/2), two factors that stay normal up to
+    lam ~ 1416: no form computes e^lam.
+    """
     arr = check_grid(lam)
     with np.errstate(all="ignore"):
         return _finite_result(_rfv_closed(family, arr), arr, f"closed-form RFV of {family}")
 
 
 def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
-    if isinstance(family, NegBin):
-        return np.exp(lam) / ((1.0 - family.pi) * family.nu)
-    if isinstance(family, NegBinPositive):
-        return (1.0 - family.pi) * np.exp(-lam) / family.nu
-    if isinstance(family, Binomial):
-        return (1.0 - family.pi) * np.exp(lam) / (family.n * family.pi)
-    if isinstance(family, Poisson):
-        return np.exp(lam) / family.eta
-    if isinstance(family, Shifted):
-        p = family.p
-        inner = family.inner
-        if isinstance(inner, Poisson):
-            c = inner.eta * np.exp(-lam) + p
-            return inner.eta * np.exp(-lam) / c / c
-        if isinstance(inner, NegBin):
-            q = 1.0 - inner.pi
-            c = inner.nu * q + p * (np.exp(lam) - q)
-            return np.exp(lam) * inner.nu * q / c / c
-        q = 1.0 - inner.pi  # Binomial
-        c = inner.pi * np.exp(-lam) * (p + inner.n) + p * q
-        return q * inner.pi * inner.n * np.exp(-lam) / c / c
+    p, base = _unshift(family)
+    half = np.exp(-0.5 * lam)  # c e^-lam is (c half) half
+    if isinstance(base, Poisson):
+        x = base.eta * half * half
+        return x / (x + p) / (x + p)
+    if isinstance(base, NegBin):
+        big_x = base.nu * (1.0 - base.pi) * half * half
+        c = big_x + p * (1.0 - big_x / base.nu)
+        return big_x / c / c
+    if isinstance(base, Binomial):
+        big_x = base.n * base.pi / (1.0 - base.pi) * half * half
+        c = big_x + p * (1.0 + big_x / base.n)
+        return big_x / c / c
     if isinstance(family, ZeroModifiedPoisson):
-        eta, phi = family.eta, family.phi
-        em = math.exp(-eta)
-        offset = (phi - 1.0) / (1.0 - phi * em)
-        rp = np.exp(lam) / eta                    # Poisson RFV
-        u = 1.0 / rp                              # eta * exp(-lam)
-        damp = np.exp(-u)                         # exp(-1/RFV_P)
-        # RFV = rp * (1 + offset * damp) + offset * damp.  For phi < 1 the
-        # first factor is assembled from nonnegative pieces,
-        # (1 + offset) + offset * expm1(-u), to avoid cancellation at large
-        # lam; for phi >= 1 both terms are already nonnegative as written.
+        offset = (family.phi - 1.0) / (1.0 - family.phi * math.exp(-family.eta))
+        x = family.eta * half * half
         if offset >= 0.0:
-            one_plus = 1.0 + offset * damp
-        else:
-            one_plus = (phi * -math.expm1(-eta)) / (1.0 - phi * em) \
-                + offset * np.expm1(-u)
-        return rp * one_plus + offset * damp
+            return (1.0 + offset * ((1.0 + x) * np.exp(-x))) / x
+        # (phi / amp) / x, the survivors' odds of 0 against 1, in logs: x
+        # underflows before those odds overflow.  P(2, x) / x is x / 2 to
+        # double precision below x = 1e-150, where x^2 underflows.
+        odds = np.exp(np.log(family.phi) - math.log(_zmp_scale(family) * family.eta) + lam)
+        return odds - offset * np.where(x < 1e-150, 0.5 * x, _gamma_p2(x) / x)
     if isinstance(family, Addams):
         return family.gamma * np.exp(family.alpha * lam)
     if isinstance(family, KPoint):
@@ -203,7 +202,8 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
     """d/dlam of Var / mean^2 with dmean/dlam = -Var and dVar/dlam = -k3,
     each term divided by the mean before it can leave range."""
     _, mean, var, k3 = _survivor_triple(family, lam)
-    return 2.0 * (var / mean) ** 2 / mean - (k3 / mean) / mean
+    g = var / mean
+    return (2.0 * g * g - k3 / mean) / mean
 
 
 def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> np.ndarray:
@@ -249,7 +249,8 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     spacing = grid[1]
     with np.errstate(all="ignore"):  # inf and nan past the float64 range
-        d = _rfv_derivative(family, grid)
+        rfv = _triple_rfv(family, grid)
+        d = np.where(np.isfinite(rfv), _rfv_derivative(family, grid), np.nan)
         sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
         roots = _bisect(lambda x: _rfv_derivative(family, x),
                         grid[sign_change], grid[sign_change + 1], d[sign_change])
@@ -258,7 +259,6 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
         # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
         a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
-        rfv = _triple_rfv(family, grid)
         dips = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
                  & (a[i] * grid[i] <= DIP_TOL * rfv[i]) & ~np.isin(i, sign_change)
                  & ~np.isin(i - 1, sign_change)]

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -305,6 +306,15 @@ def test_derivative_raises_where_it_leaves_range(fam):
         rfv_derivative(fam, [1.0, 800.0, 900.0])
 
 
+def test_derivative_where_its_first_term_alone_overflows():
+    # RFV' = e^lam / 2 for Poisson(2), and the term 2 (Var / mean)^2 / mean is
+    # twice that: squaring before dividing by the mean overflowed for lam in
+    # (709.78, 710.47]
+    mpmath.mp.dps = 50
+    want = float(mpmath.exp(710) / 2)
+    assert_allclose(rfv_derivative(fs.Poisson(eta=2.0), 710.0), want, rtol=1e-14)
+
+
 class TestStationaryPoints:
     def test_bisection_stops_where_floats_are_coarser_than_the_tolerance(self):
         # the survivors' odds 0.99 : 0.01 even out near lam = ln(99) / 1e-5,
@@ -578,22 +588,43 @@ def _zero_modified(eta, zero_mass):
     return fs.ZeroModifiedPoisson(eta=eta, phi=zero_mass * math.exp(eta))
 
 
-wide_families = st.one_of(
-    st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
-    st.builds(fs.NegBin, pi=st.floats(0.01, 0.99), nu=st.floats(0.1, 1e3)),
-    st.builds(fs.Binomial, pi=st.floats(0.01, 0.99), n=st.integers(1, 1000)),
-    st.builds(fs.Shifted, inner=st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
-              p=st.floats(0.0, 50.0)),
-    st.builds(fs.NegBinPositive, pi=st.floats(0.01, 0.99), nu=st.integers(1, 100)),
-    st.builds(_zero_modified, eta=st.floats(1e-3, 700.0), zero_mass=st.floats(0.0, 0.99)),
-    st.builds(_kpoint,
-              # gaps below ~1e-154 make the survivor variance underflow, which
-              # breaks every route alike (rfv_at 0, the closed form -1 for an
-              # RFV of 1), so support points start at 1e-150
-              support=st.lists(st.floats(1e-150, 5.0), min_size=5, max_size=5, unique=True),
-              weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
-              with_zero=st.booleans()),
-)
+def _families(kpoint_low):
+    """Every family over wide parameter ranges, k-point support points from
+    ``kpoint_low``."""
+    return st.one_of(
+        st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
+        st.builds(fs.NegBin, pi=st.floats(0.01, 0.99), nu=st.floats(0.1, 1e3)),
+        st.builds(fs.Binomial, pi=st.floats(0.01, 0.99), n=st.integers(1, 1000)),
+        st.builds(fs.Shifted, inner=st.builds(fs.Poisson, eta=st.floats(1e-3, 1e4)),
+                  p=st.floats(0.0, 50.0)),
+        st.builds(fs.Shifted, inner=st.builds(fs.NegBin, pi=st.floats(0.01, 0.99),
+                                              nu=st.floats(0.1, 1e3)),
+                  p=st.floats(0.0, 50.0)),
+        st.builds(fs.Shifted, inner=st.builds(fs.Binomial, pi=st.floats(0.01, 0.99),
+                                              n=st.integers(1, 1000)),
+                  p=st.floats(0.0, 50.0)),
+        st.builds(fs.NegBinPositive, pi=st.floats(0.01, 0.99), nu=st.integers(1, 100)),
+        st.builds(_zero_modified, eta=st.floats(1e-3, 700.0), zero_mass=st.floats(0.0, 0.99)),
+        st.builds(_kpoint,
+                  support=st.lists(st.floats(kpoint_low, 5.0), min_size=5, max_size=5,
+                                   unique=True),
+                  weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+                  with_zero=st.booleans()),
+    )
+
+
+#: k-point support points start at 0, so gaps run far below 1e-154, where
+#: the survivors' variance underflows.
+wide_families = _families(0.0)
+
+#: The three-point k-point family of the closed-form accuracy table.
+THREE_POINT = fs.KPoint(support=(0.0418, 0.3867, 7.5078), probs=(0.4277, 0.3891, 0.1832))
+
+#: A gap of 2.2e-204 beside the 0 atom: the survivors' variance underflows
+#: from lam ~ 710 on.  The RFV is 5.6e16 at lam = 900, almost all of it from
+#: the atoms 1, 2 and 3, and 1 at lam = 1000, where their weights are below
+#: e^-1000.
+TINY_GAP = fs.KPoint(support=(0.0, 2.2e-204, 1.0, 2.0, 3.0), probs=(0.2,) * 5)
 
 
 @settings(max_examples=200)
@@ -602,6 +633,7 @@ wide_families = st.one_of(
 # returned 0.0 or lost digits
 @example(fs.Poisson(eta=5000.0), [1.0])
 @example(fs.Binomial(pi=0.2222, n=2946), [4.3495])
+@example(fs.Poisson(eta=1e5), [1e-3])
 @example(fs.Poisson(eta=1e6), [1e-3])
 @example(fs.Shifted(inner=fs.Poisson(eta=104.6), p=5.0), [675.7])
 # the survivors sit at 1 with no mass at 0, so m2 - m1^2 cancels in the oracle
@@ -609,12 +641,38 @@ wide_families = st.one_of(
 # x = eta e^-lam is subnormal where the survivors' mean and variance are not
 @example(fs.ZeroModifiedPoisson(eta=1.0, phi=7.67248349316376e-273), [728.0])
 @example(fs.ZeroModifiedPoisson(eta=0.001, phi=5e-324), [339.0, 745.0])
+# points where the closed form formed e^lam and raised, cancelled, or
+# squared a gap below 1e-154 (the rows with a mean of 1e9 and more are in
+# test_closed_form_matches_high_precision: the oracle's support table would
+# run to ~1e10 entries)
+@example(fs.ZeroModifiedPoisson(eta=600.0, phi=0.0), [720.0])
+@example(fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0), [18.0])
+@example(TINY_GAP, [900.0, 1000.0])
+@example(THREE_POINT, [100.0, 200.0])
+# the survivors' variance is subnormal where their mean and the RFV are not
+# (in the last two while e^-lam is still normal)
+@example(fs.Shifted(inner=fs.Poisson(eta=1.0), p=1e-160), [713.0, 740.0])
+@example(fs.Shifted(inner=fs.NegBin(pi=0.99, nu=50.0), p=1e-160), [708.0])
+@example(fs.Shifted(inner=fs.Binomial(pi=0.01, n=50), p=1e-160), [708.0])
 def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
-    # One-directional on purpose: the closed forms that start from e^lam
-    # overflow past lam ~ 709.8 even where the RFV itself fits in float64.
-    # The oracle is the third leg wherever the RFV and the survivors' mean
-    # and variance are normal numbers: a subnormal one has lost bits before
-    # any route divides.
+    # Two-way: the closed form raises exactly where rfv_at does, but for one
+    # case: where the survivors' variance underflows, rfv_at returns 0.0
+    # also when far atoms, whose weights underflow too, carry the RFV past
+    # the float64 range (checked against mpmath).  Where both are finite and
+    # the RFV is a normal number:
+    # - Survivors' mean and variance normal: they agree to 1e-9.
+    # - A k-point gap below ~1e-154 beside the mean makes the survivors'
+    #   variance underflow: rfv_at returns 0.0 or a variance short of bits,
+    #   and the closed form, which divides each gap by the mean before
+    #   squaring it, is checked against mpmath.
+    # - Otherwise a subnormal mean or variance (a shift p < 1 lifts x / p^2
+    #   to a normal RFV from a subnormal x) keeps its bits only down to
+    #   2^-1074, in both routes: they agree to 1e-9 plus four of those steps
+    #   relative to the smaller of the two, wherever that sum is below 1.
+    # A subnormal RFV has lost bits in every route, so only its sign is
+    # checked.  The oracle is the third leg wherever the RFV and the
+    # survivors' mean and variance are normal numbers.
+    tiny, step = sys.float_info.min, 2.0**-1074
     for lam in [0.0, 1000.0] + lams:
         try:
             ref = rfv_closed_at(fam, lam)
@@ -623,23 +681,104 @@ def test_laplace_route_matches_closed_form_wherever_it_is_finite(fam, lams):
         try:
             got = rfv_at(fam, lam)
         except fs.NumericalOverflow:
-            assert ref is None, f"rfv_at raised at lam={lam} where the closed form is {ref}"
-            continue
-        if ref is not None:
-            assert abs(got - ref) <= 1e-9 * abs(ref) + 1e-12, (lam, got, ref)
+            got = None
         _, mean, var, _ = _survivor_triple(fam, np.array(lam))
-        if min(got, mean, var) >= sys.float_info.min:
+        if ref is None and got == 0.0 and var < tiny:
+            mp_mean, mp_var, _ = _mp_survivor_cumulants(fam, lam)
+            assert mp_var / mp_mean**2 > sys.float_info.max, (lam, got, ref)
+            continue
+        assert (got is None) == (ref is None), (lam, got, ref)
+        if got is None:
+            continue
+        assert min(got, ref) >= 0.0, (lam, got, ref)
+        if ref < tiny:
+            pass
+        elif min(mean, var) >= tiny:
+            assert abs(got - ref) <= 1e-9 * ref, (lam, got, ref)
+        elif isinstance(fam, fs.KPoint):
+            want = float(_mp_survivor_moments(fam, lam)[3])
+            rtol = 1e-12 + 4.0 * step / mean  # the closed form sums the mean linearly
+            assert rtol >= 1.0 or abs(ref - want) <= rtol * want, (lam, ref, want)
+        elif min(mean, var) > 0.0:
+            rtol = 1e-9 + 4.0 * step / min(mean, var)
+            assert rtol >= 1.0 or abs(got - ref) <= rtol * ref, (lam, got, ref)
+        if min(got, mean, var) >= tiny:
             brute = oracle.rfv(fam, lam)
             assert abs(brute - got) <= 1e-8 * got, (lam, brute, got)
             assert oracle.survivor_pmf(fam, lam).tail_mass_bound < oracle.TAIL_BOUND
 
 
+@pytest.mark.parametrize("fam, lam, rtol", [
+    (fs.Poisson(eta=1e10), 720.0, 1e-12),
+    (fs.NegBin(pi=0.3, nu=1e9), 720.0, 1e-12),
+    (fs.ZeroModifiedPoisson(eta=600.0, phi=0.0), 720.0, 1e-9),  # a subnormal RFV
+    # log d - log mean at |log d| ~ 469 rounds to ~1e-14 of the RFV of 1
+    (TINY_GAP, 1000.0, 1e-14),
+    # the atoms 1, 2, 3 carry most of the variance, with weights below 1e-390
+    (TINY_GAP, 900.0, 1e-12),
+    (THREE_POINT, 100.0, 1e-13),
+    (THREE_POINT, 200.0, 1e-13),
+    (fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0), 18.0, 1e-14),
+], ids=["poisson", "negbin", "zero-truncated-720", "tiny-gap", "tiny-gap-900",
+        "three-point-100", "three-point-200", "zero-truncated-18"])
+def test_closed_form_matches_high_precision(fam, lam, rtol):
+    # The points where the closed form raised past lam ~ 709.8, cancelled, or
+    # squared a gap below 1e-154; references at 50 to 420 digits.  rfv_at
+    # agrees, except at the tiny gap, where the survivors' variance
+    # underflows and it returns 0.0.
+    mean, var, _ = _mp_survivor_cumulants(fam, lam)
+    want = float(var / mean**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rfv_closed_at(fam, lam)
+    assert abs(got - want) <= rtol * want, (got, want)
+    if fam is TINY_GAP:
+        assert rfv_at(fam, lam) == 0.0
+    else:
+        assert abs(rfv_at(fam, lam) - want) <= max(rtol, 1e-14) * want
+
+
+@pytest.mark.parametrize("fam, lam", [
+    (fs.Poisson(eta=1e12), 736.0),
+    (fs.Poisson(eta=1e8), 725.0),
+    (fs.NegBin(pi=0.5, nu=1e8), 725.0),
+    (fs.Binomial(pi=0.3, n=3000), 715.0),
+], ids=["poisson-736", "poisson-725", "negbin", "binomial"])
+def test_rfv_where_e_to_the_minus_lam_is_subnormal(fam, lam):
+    # e^-lam is subnormal past lam ~ 708.4, so c e^-lam kept only its leading
+    # bits (2.4e-5 relative off for the first row); the RFV itself is normal
+    mean, var, _ = _mp_survivor_cumulants(fam, lam)
+    assert_allclose(rfv_at(fam, lam), float(var / mean**2), rtol=1e-14)
+
+
+def test_kpoint_closed_form_holds_no_pair_array():
+    # the benchmark's checks call rfv_closed_at in the harness process, whose
+    # own peak RSS is a floor under every job's reading; an (n, K, K) pair
+    # sum peaks at ~7.7 MB here, the loop over the pairs at ~0.7 MB
+    fam = KPOINT_EXAMPLES["set1"]
+    grid = np.linspace(0.0, 12.0, 5000)
+    rfv_closed_at(fam, grid)
+    tracemalloc.start()
+    try:
+        rfv_closed_at(fam, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.size * len(fam.support) * 8
+
+
 @settings(max_examples=100)
-@given(st.one_of(wide_families, st.builds(fs.ZeroModifiedPoisson, eta=st.floats(1e-3, 700.0),
-                                          phi=st.just(0.0))),
+# k-point gaps from 1e-150: below that an extremum can be flatter than the
+# rounding of rfv_at, which this check cannot resolve (a min of
+# KPoint((0, 2.2e-313, 1e-12, 0.25, 1), ...) at lam = 313.8 rises by 2.5e-16
+# relative over the step)
+@given(st.one_of(_families(1e-150),
+                 st.builds(fs.ZeroModifiedPoisson, eta=st.floats(1e-3, 700.0), phi=st.just(0.0))),
        st.floats(0.1, 1e3))
 @example(ZERO_TRUNCATED, 100.0)
 @example(ZERO_TRUNCATED, 900.0)
+# RFV' is finite near the maximum at lam = 719.9, where the RFV is 1.1e312
+@example(fs.Shifted(inner=fs.Poisson(eta=1.0), p=2.2250738585e-313), 720.0)
 def test_reported_extrema_are_extrema_of_the_rfv(fam, lambda_max):
     for point in stationary_points(fam, lambda_max):
         if point.kind == "saddle":
