@@ -35,6 +35,11 @@ from .errors import (
 #: Infinite supports are truncated at the smallest K with tail mass below this.
 TAIL_MASS = 1e-14
 
+#: Most entries a lattice support table may evaluate: 2^24 admits Poisson(1e7),
+#: whose table stops doubling here.  A family that needs more raises before
+#: anything is allocated, rather than running out of memory.
+MAX_SUPPORT = 1 << 24
+
 #: Tolerance for "probabilities sum to one" checks on k-point families.
 PROB_SUM_TOL = 1e-12
 
@@ -381,12 +386,19 @@ def _build_support_table(family: FrailtyFamily, tail: float) -> SupportTable:
         return SupportTable(np.asarray(family.support), probs, 0.0, np.log(probs))
     # Evaluate out past the mode to a point below e^-46 (~1e-20) times the
     # tail, beyond which nothing can move the truncation or the tail mass.
+    # The range doubles as needed up to MAX_SUPPORT entries; a family that
+    # needs more steps one past the bound and raises there.
     mean, var = moments(family)
     hi = int(mean + 10.0 * math.sqrt(var)) + 10
-    log_p = _log_pmf(family, np.arange(hi + 1))
-    while not (log_p[-1] < math.log(tail) - 46.0 and log_p[-1] <= log_p[-2]):
-        hi *= 2
+    while True:
+        if hi + 1 > MAX_SUPPORT:
+            raise ParameterOutOfRange(
+                f"{type(family).__name__} needs a support table of more than "
+                f"{MAX_SUPPORT} entries: {family!r}")
         log_p = _log_pmf(family, np.arange(hi + 1))
+        if log_p[-1] < math.log(tail) - 46.0 and log_p[-1] <= log_p[-2]:
+            break
+        hi = min(2 * hi, max(MAX_SUPPORT - 1, hi + 1))
     p = np.exp(log_p)
     # after[k] = P(Z > k), summed from the smallest terms up: no 1 - cdf.
     after = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)

@@ -437,6 +437,22 @@ RERUN_JOBS = {
 }
 
 
+@pytest.mark.parametrize("command", ["oracle", "simulate"])
+def test_support_past_the_bound_exits_two_and_writes_nothing(tmp_path, capsys, command):
+    family = {"family": "poisson", "params": {"eta": 1e9}}
+    out = tmp_path / "out.csv"
+    cfg = {"oracle": {"family": family, "grid": {"start": 0.0, "stop": 1.0, "points": 3}},
+           "simulate": {"sim": {"family": family, "hazards": [EXP_HAZARD],
+                                "n_clusters": 10, "seed": 1}}}[command]
+    path = write_cfg(tmp_path, "cfg.json", {**cfg, "out": str(out)})
+    rc, out_text, err = run_main([command, "--config", path], capsys)
+    assert rc == 2 and out_text == ""
+    assert json.loads(err) == {"error": "ParameterOutOfRange", "message": (
+        "Poisson needs a support table of more than 16777216 entries: "
+        "Poisson(eta=1000000000.0)")}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_every_subcommand_reruns_byte_identical(tmp_path, capsys, monkeypatch):
     assert set(RERUN_JOBS) == set(cli._COMMANDS)
     for command, (config, extra) in RERUN_JOBS.items():

@@ -497,3 +497,43 @@ def test_support_table_is_memoised_and_read_only():
     with pytest.raises(ValueError):
         table.pmf[0] = 0.0
 
+
+
+def _table_bits(table):
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in table]
+
+
+@pytest.mark.parametrize("fam", [Poisson(eta=1e9), NegBin(pi=1e-9, nu=1.0),
+                                 Shifted(inner=Poisson(eta=1e9), p=0.5)])
+def test_support_bound_raises_before_allocating(monkeypatch, fam):
+    # Poisson(1e9) once asked np.arange for 7.45 GiB and ended in MemoryError
+    from frailty_shapes import families
+
+    arange = np.arange
+
+    def bounded_arange(n, *args, **kwargs):
+        assert n <= families.MAX_SUPPORT
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded_arange)
+    name = type(fam.inner if isinstance(fam, Shifted) else fam).__name__
+    with pytest.raises(ParameterOutOfRange, match=f"{name} needs a support table of more than"):
+        support_table(fam)
+
+
+@pytest.mark.parametrize("bound,builds", [(53, True), (40, True), (30, False)])
+def test_support_table_stops_doubling_at_the_bound(monkeypatch, bound, builds):
+    # Poisson(2)'s first range is 0..26 and its doubled one 0..52, as
+    # Poisson(1e7)'s are ~1.0e7 and ~2.0e7 entries against 2^24: where the
+    # doubling would pass the bound it stops there, and the table is the
+    # same wherever the range at the bound reaches far enough into the tail
+    from frailty_shapes import families
+
+    fam, tail = Poisson(eta=2.0), families.TAIL_MASS
+    whole = families._build_support_table(fam, tail)
+    monkeypatch.setattr(families, "MAX_SUPPORT", bound)
+    if builds:
+        assert _table_bits(families._build_support_table(fam, tail)) == _table_bits(whole)
+    else:
+        with pytest.raises(ParameterOutOfRange, match="more than 30 entries"):
+            families._build_support_table(fam, tail)

@@ -17,7 +17,8 @@ import pytest
 import frailty_shapes as fs
 
 #: Runs ``python -m frailty_shapes`` with the JSON argv given, then prints the
-#: exit code and the loaded numpy and package modules as a last JSON line.
+#: exit code and the loaded numpy, package and process-pool modules as a last
+#: JSON line.
 _MAIN_PROBE = """
 import json, runpy, sys
 sys.argv = ["frailty_shapes", *json.loads(sys.argv[1])]
@@ -26,8 +27,9 @@ try:
     code = 0
 except SystemExit as exit:
     code = exit.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m == "numpy" or m.startswith("frailty_shapes"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy"
+                               or m.startswith(("frailty_shapes", "multiprocessing",
+                                                "concurrent")))]))
 """
 
 
@@ -90,6 +92,17 @@ def test_subcommand_loads_only_its_modules(tmp_path, command):
     needed, not_loaded = MODULES[command]
     assert {"numpy", needed} <= loaded
     assert loaded & not_loaded == set()
+
+
+@pytest.mark.parametrize("command", ["oracle", "simulate"])
+def test_writers_load_no_process_pool(tmp_path, command):
+    # the CSV writer forks its one helper itself; a simulate job of three
+    # blocks starts it
+    config = _job_config(command, tmp_path)
+    if command == "simulate":
+        config["sim"]["n_clusters"] = 3 * 4096
+    loaded = _run_main([command, *_config(tmp_path, command, config)])
+    assert not {m for m in loaded if m.startswith(("multiprocessing", "concurrent"))}
 
 
 def test_every_public_name_is_its_module_attribute():

@@ -1,11 +1,21 @@
-"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join."""
+"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join, and the
+life of its forked format helper."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frailty_shapes import _io
+from frailty_shapes import _io, cli
+
+B = _io._BLOCK_ROWS
 
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
 
@@ -13,7 +23,7 @@ SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
 def _joined(header, columns):
     lines = [",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(str(v) if isinstance(v, int) else f"{v:.17g}"
+        lines.append(",".join(str(int(v)) if isinstance(v, int) else f"{v:.17g}"
                               for v in row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -43,3 +53,192 @@ def test_special_values_spelled_out(tmp_path):
 def test_sidecar_path():
     assert _io.sidecar_path("out/a.csv") == "out/a.json"
     assert _io.sidecar_path("out/a.txt") == "out/a.txt.json"
+
+
+def _column(kind, rng, n):
+    if kind == "int":
+        return rng.integers(-2**62, 2**62, n)
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    special = np.array(SPECIAL)[rng.integers(0, len(SPECIAL), n)]
+    noise = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.where(rng.random(n) < 0.5, special, noise)
+
+
+@settings(max_examples=12, deadline=None)
+@given(full=st.integers(0, 6), partial=st.integers(0, B - 1),
+       kinds=st.lists(st.sampled_from(["int", "bool", "float"]), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_bytes_match_row_join_for_any_block_count(tmp_path_factory, full, partial, kinds, seed):
+    # up to six full blocks and a partial last one: the helper, when it
+    # starts, takes the third block and every other one after it
+    n = max(full * B + partial, 1)
+    rng = np.random.default_rng(seed)
+    columns = [_column(kind, rng, n) for kind in kinds]
+    header = [f"c{i}" for i in range(len(kinds))]
+    path = tmp_path_factory.mktemp("blocks") / "t.csv"
+    _io.write_csv(path, header, _io.row_blocks(columns))
+    # compared line by line, so that a failure reports the first bad row
+    # without diffing whole files on every shrink step
+    want = _joined(header, [c.tolist() for c in columns])
+    assert path.read_bytes().split(b"\n") == want.split(b"\n")
+
+
+def _no_fork():
+    raise AssertionError("the writer forked")
+
+
+@pytest.mark.parametrize("n,cores", [(2 * B, {0, 1}), (5 * B + 1, {0})])
+def test_no_helper_for_two_blocks_or_one_core(tmp_path, monkeypatch, n, cores):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    columns = (np.arange(n), np.linspace(0.0, 1.0, n))
+    _io.write_csv(tmp_path / "t.csv", ("i", "x"), _io.row_blocks(columns))
+    assert (tmp_path / "t.csv").read_bytes() == _joined(("i", "x"), [c.tolist() for c in columns])
+
+
+def _helper_pids(monkeypatch):
+    """The pids the writer forks from now on, recorded as it forks them."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+class _Stop(Exception):
+    pass
+
+
+def _source(n_blocks, stop_at=None, stop=_Stop):
+    """``n_blocks`` one-column blocks; block ``stop_at`` (1-based) raises ``stop``."""
+    for i in range(1, n_blocks + 1):
+        if i == stop_at:
+            raise stop("block %d" % i)
+        yield [np.full(B, float(i))]
+
+
+class _ClosedAfter:
+    """A block source whose generator its owner closes after ``k`` blocks."""
+
+    def __init__(self, blocks, k):
+        self.blocks, self.k = blocks, k
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.k == 0:
+            self.blocks.close()
+        self.k -= 1
+        return next(self.blocks)
+
+
+@pytest.mark.parametrize("case", ["end", "raise", "interrupt", "closed"])
+def test_helper_is_reaped_however_the_source_ends(tmp_path, monkeypatch, case):
+    pids = _helper_pids(monkeypatch)
+    path = tmp_path / "t.csv"
+    if case == "end":
+        _io.write_csv(path, ["x"], _source(6))
+        assert path.read_bytes() == _joined(["x"], [[float(i) for i in range(1, 7) for _ in range(B)]])
+    elif case == "closed":
+        _io.write_csv(path, ["x"], _ClosedAfter(_source(6), 3))
+        assert path.read_bytes() == _joined(["x"], [[float(i) for i in range(1, 4) for _ in range(B)]])
+    else:
+        stop = _Stop if case == "raise" else KeyboardInterrupt
+        with pytest.raises(stop, match="block 4"):
+            _io.write_csv(path, ["x"], _source(6, stop_at=4, stop=stop))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+#: Writes three blocks through the helper, prints the helper's pid, then
+#: sleeps while the helper holds the third block's text.
+_KILLED_WRITER = """
+import os, sys, time
+import numpy as np
+from frailty_shapes import _io
+
+fork = os.fork
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announcing_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def blocks():
+    for i in range(3):
+        yield [np.linspace(0.0, 1.0, _io._BLOCK_ROWS)]
+    time.sleep(60)
+
+_io.write_csv(sys.argv[1], ["x"], blocks())
+"""
+
+
+def _running(pid) -> bool:
+    """Whether ``pid`` is a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_helper_leaves_when_the_writer_is_killed(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WRITER, str(tmp_path / "t.csv")],
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(proc.stdout.readline())
+        assert _running(pid)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)
+
+
+def _failing_in_the_helper(monkeypatch):
+    parent, format_block = os.getpid(), _io._format_block
+
+    def format_or_fail(cols):
+        if os.getpid() != parent:
+            raise RuntimeError("the helper failed")
+        return format_block(cols)
+
+    monkeypatch.setattr(_io, "_format_block", format_or_fail)
+    return _helper_pids(monkeypatch)
+
+
+def test_helper_failure_raises_os_error(tmp_path, monkeypatch):
+    pids = _failing_in_the_helper(monkeypatch)
+    with pytest.raises(OSError, match="helper"):
+        _io.write_csv(tmp_path / "t.csv", ["x"], _source(4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_helper_failure_exits_two_from_the_command_line(tmp_path, monkeypatch, capsys):
+    _failing_in_the_helper(monkeypatch)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "sim": {"family": {"family": "poisson", "params": {"eta": 2.0}},
+                "hazards": [{"hazard": "exponential", "params": {"rate": 1.0}}],
+                "n_clusters": 3 * B + 1, "seed": 1},
+        "out": str(tmp_path / "sim.csv")}))
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "OSError"

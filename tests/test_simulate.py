@@ -23,6 +23,7 @@ from frailty_shapes.simulate import (
     _philox,
     _rfv_estimate,
     _tally,
+    _write_simulation,
     empirical_crf,
     empirical_rfv,
     population_survival,
@@ -299,6 +300,20 @@ class TestChunkedDraws:
 
         peak(B)  # build the support table outside the trace
         assert abs(peak(1_000_000) - peak(200_000)) < 2**20
+
+    def test_written_stream_stays_small_beside_its_helper(self, tmp_path):
+        # past its second block the writer forks a helper for every other
+        # block; at most one block is in flight, so memory stays flat
+        cfg = SimConfig(family=POISSON2, hazards=[EXP1, fs.ExponentialRate(rate=0.5)],
+                        n_clusters=400_000, seed=1, censor_time=3.0)
+        support_table(POISSON2)  # build the table outside the trace
+        tracemalloc.start()
+        try:
+            _write_simulation(cfg, tmp_path / "s.csv", [[0.5, 0.5]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peaked at {peak / 2**20:.1f} MiB"
 
 
 def _outcome(estimate, *args):
