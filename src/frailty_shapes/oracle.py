@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _spec
 from .errors import DegenerateConditional, NumericalOverflow, ParameterOutOfRange
 from .families import (
     FrailtyFamily,
@@ -97,7 +97,7 @@ def survivor_pmf(family: FrailtyFamily, lam: float) -> SurvivorPmf:
 
 def survivor_moment(family: FrailtyFamily, lam: float, q: int) -> float:
     """q-th raw moment of the survivor frailty distribution."""
-    if q not in (1, 2):
+    if _spec.integer(q, "q") not in (1, 2):
         raise ParameterOutOfRange(f"only moments q=1,2 are supported, got {q}")
     pmf = survivor_pmf(family, lam)
     return float(pmf.probs @ pmf.support ** q)

@@ -11,10 +11,10 @@ This module evaluates that ratio from each family's survivor mean and
 variance (:func:`rfv_at`) and from the per-family closed forms
 (:func:`rfv_closed_at`).  With k3 the survivors' third central moment, the
 derivative (:func:`rfv_derivative`) is (2 Var^2 / mean - k3) / mean^2 for
-every family; its roots are the stationary points, classified by thresholds
-relative to the RFV.  The tail behaviour is classified structurally from the
-smallest support point: mass at zero drives the RFV to infinity, a positive
-minimum drives it to zero, and constant-RFV families stay flat.
+every family; its roots, found by one scan and one fold rule, are the
+stationary points, classified by thresholds relative to the RFV.  The tail
+behaviour follows structurally from the smallest support point: mass at zero
+sends the RFV to infinity, a positive minimum to zero; constant RFVs stay flat.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .families import (
 #: Number of intervals in the stationary-point scan grid.
 SCAN_INTERVALS = 4096
 
-#: Bisection stops once the bracket is narrower than this.
+#: Bisection stops once a bracket is narrower than this times its upper end.
 BISECT_TOL = 1e-12
 
 #: A root where |RFV''| lambda^2 falls below this fraction of the RFV is a
@@ -57,10 +57,6 @@ BISECT_TOL = 1e-12
 #: in any unit (RFV' lambda and RFV'' lambda^2 keep the RFV's unit), classify
 #: alike.
 SADDLE_TOL = 1e-8
-
-#: A local minimum of |RFV'| with |RFV'| lambda at most this fraction of the
-#: RFV is a candidate tangential root.
-DIP_TOL = 1e-6
 
 
 class TailClass(str, enum.Enum):
@@ -217,11 +213,11 @@ def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
     """Roots of ``f`` in the brackets ``[lo, hi]``, across which ``f`` changes
     sign from ``f_lo``; all brackets are halved together, and each stops once
-    it is narrower than ``BISECT_TOL`` or holds no float between its ends."""
+    narrower than ``BISECT_TOL * hi`` or holding no float between its ends."""
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
     live = np.arange(lo.shape[0])
     while True:
-        live = live[(hi[live] - lo[live] > BISECT_TOL)
+        live = live[(hi[live] - lo[live] > BISECT_TOL * hi[live])
                     & (np.nextafter(lo[live], hi[live]) < hi[live])]
         if not live.size:
             return 0.5 * (lo + hi)
@@ -233,44 +229,48 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
 
 
 def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
-    """All stationary points of the RFV on [0, lambda_max], sorted.
+    """All stationary points of the RFV on [0, lambda_max], sorted; none for
+    Addams and gamma families, whose RFV gamma e^(alpha lam) is monotone or flat.
 
-    Sign changes of RFV' on a uniform scan grid (``lambda_max / 4096`` steps)
-    are refined by bisection and classified min/max/saddle by the second
-    derivative; tangential roots, where RFV' touches zero without changing
-    sign (the zero-modified-Poisson saddle), are picked up from local minima
-    of |RFV'| where |RFV'| lambda is at most ``DIP_TOL`` times the RFV, and
-    refined on the derivative of RFV'.  Each stage refines all of its brackets together.
-    Grid points where the RFV has left float64 range take part in no test.
+    RFV' is scanned on a uniform grid (``lambda_max / 4096`` steps).  Each
+    local minimum of |RFV'| between scan neighbours of one sign, where RFV''
+    changes sign across them, is a fold, refined on RFV'' to the extremum m
+    of RFV'.  A fold whose |RFV'(m)| lambda is below ``SADDLE_TOL`` times the
+    RFV, and |RFV'(m)| below half its neighbours' (a dip, not rounding noise),
+    is one saddle, in place of any scan sign change beside it; else, if RFV'(m)
+    has the other sign and the scan point has not, it brackets two roots, one
+    on each side of m.  One bisection of RFV' refines these and the scan's
+    sign changes, classified min/max/saddle by RFV''.  Grid points where the
+    RFV has left float64 range take part in no test.
     """
-    lambda_max = _spec.positive(float(lambda_max), "lambda_max")
-    if classify_tail(family) is TailClass.CONSTANT:
-        return ()  # constant RFV: no isolated stationary points
+    lambda_max = float(_spec.positive(lambda_max, "lambda_max"))
+    if isinstance(family, (Addams, GammaFrailty)):
+        return ()  # decided structurally: at tiny alpha, RFV' is rounding noise
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     spacing = grid[1]
     with np.errstate(all="ignore"):  # inf and nan past the float64 range
-        rfv = _triple_rfv(family, grid)
-        d = np.where(np.isfinite(rfv), _rfv_derivative(family, grid), np.nan)
-        sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+        d = np.where(np.isfinite(_triple_rfv(family, grid)), _rfv_derivative(family, grid), np.nan)
+        a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
+        i = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)]
+        g_lo, g_hi = (_second_derivative(family, grid[i + k], spacing) for k in (-1, 1))
+        i, g_lo = i[g_lo * g_hi < 0.0], g_lo[g_lo * g_hi < 0.0]
+        m = _bisect(lambda x: _second_derivative(family, x, spacing),
+                    grid[i - 1], grid[i + 1], g_lo)
+        dm = _rfv_derivative(family, m)
+        tangent = ((np.abs(dm) * m < SADDLE_TOL * _triple_rfv(family, m))
+                   & (np.abs(dm) < 0.5 * np.minimum(a[i - 1], a[i + 1])))
+        split = ~tangent & (d[i] * d[i - 1] > 0.0) & (dm * d[i - 1] < 0.0)
+        sign_change = np.setdiff1d(np.nonzero(d[:-1] * d[1:] < 0.0)[0],
+                                   np.r_[i[tangent] - 1, i[tangent]])
         roots = _bisect(lambda x: _rfv_derivative(family, x),
-                        grid[sign_change], grid[sign_change + 1], d[sign_change])
+                        np.r_[grid[sign_change], grid[i[split] - 1], m[split]],
+                        np.r_[grid[sign_change + 1], m[split], grid[i[split] + 1]],
+                        np.r_[d[sign_change], d[i[split] - 1], dm[split]])
         d2 = _second_derivative(family, roots, spacing)
         flat = np.abs(d2) * roots * roots < SADDLE_TOL * np.abs(_triple_rfv(family, roots))
         kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
-        # Tangential roots: |RFV'| dips to ~0 between neighbors of equal sign.
-        a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
-        dips = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)
-                 & (a[i] * grid[i] <= DIP_TOL * rfv[i]) & ~np.isin(i, sign_change)
-                 & ~np.isin(i - 1, sign_change)]
-        g_lo = _second_derivative(family, grid[dips - 1], spacing)
-        g_hi = _second_derivative(family, grid[dips + 1], spacing)
-        folds = g_lo * g_hi < 0.0
-        saddles = _bisect(lambda x: _second_derivative(family, x, spacing),
-                          grid[dips - 1][folds], grid[dips + 1][folds], g_lo[folds])
-        saddles = saddles[np.abs(_rfv_derivative(family, saddles)) * saddles
-                          < SADDLE_TOL * _triple_rfv(family, saddles)]
     points = [StationaryPoint(lam, kind) for lam, kind in zip(roots.tolist(), kinds.tolist())]
-    points += [StationaryPoint(lam, "saddle") for lam in saddles.tolist()]
+    points += [StationaryPoint(lam, "saddle") for lam in m[tangent].tolist()]
     return tuple(sorted(points, key=lambda p: p.lam))
 
 

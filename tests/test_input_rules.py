@@ -15,6 +15,7 @@ import pytest
 
 import frailty_shapes as fs
 from frailty_shapes.extensions import CorrelatedPoissonModel, PiecewiseFrailtyModel
+from frailty_shapes.oracle import survivor_moment
 from frailty_shapes.simulate import SimConfig, empirical_crf, simulate
 
 EXP1 = fs.ExponentialRate(rate=1.0)
@@ -120,6 +121,15 @@ REJECTED = {
                           "^Addams alpha must be a finite number, got True$"),
     "ExponentialRate rate True": (lambda: fs.ExponentialRate(rate=True),
                                   "^exponential rate must be positive and finite, got True$"),
+    # converted by float() or compared to 1 and 2 before any rule saw them
+    "stationary_points lambda_max 'x'": (lambda: fs.stationary_points(POISSON2, "x"),
+                                         "^lambda_max must be positive and finite, got 'x'$"),
+    "stationary_points lambda_max None": (lambda: fs.stationary_points(POISSON2, None),
+                                          "^lambda_max must be positive and finite, got None$"),
+    "stationary_points lambda_max True": (lambda: fs.stationary_points(POISSON2, True),
+                                          "^lambda_max must be positive and finite, got True$"),
+    "survivor_moment q True": (lambda: survivor_moment(POISSON2, 1.0, True),
+                               "^q must be an integer, got True$"),
 }
 
 
