@@ -447,35 +447,17 @@ def _tilted(s: np.ndarray, c: float, near: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
-    """``(log L, mean, variance, k3)`` of the frailty among survivors at ``s``.
+    """``(log L, mean, variance, slope)`` of the frailty among survivors at ``s``.
 
-    ``mean = -L'/L``, ``variance = L''/L - (L'/L)^2`` and the third central
-    moment ``k3 = -(variance)'`` are written per family so that no term scales
-    with ``L``: they stay in range wherever the survivor moments do, however
-    far ``L`` itself has underflowed.  Entries the moments cannot represent
-    come out inf or nan, without a warning.
+    ``mean = -L'/L`` and ``variance = L''/L - (L'/L)^2``; ``slope`` is
+    mean RFV' = 2 g^2 - k3 / mean, with g = variance / mean and k3 =
+    -(variance)' the third central moment, stated per family in a form that
+    does not cancel: g (M - p k) / (M + p) for a lattice base of mean M moved
+    up by p, alpha g for Addams, 0 for gamma.  No term scales with ``L``:
+    they stay in range wherever the survivor moments do, however far ``L``
+    itself has underflowed.  Entries the moments cannot represent come out
+    inf or nan, without a warning.
     """
-    p, base = _unshift(family)
-    if base is not family:
-        log_l, mean, var, k3 = _survivor_triple(base, s)
-        return log_l - p * s, mean + p, var, k3
-    if isinstance(family, NegBin):
-        qe = (1.0 - family.pi) * np.exp(-s)
-        r = qe / (1.0 - qe)
-        nr = _tilted(s, family.nu * (1.0 - family.pi), family.nu * r)
-        var = nr * (1.0 + r)
-        return (family.nu * (math.log(family.pi) - np.log1p(-qe)),
-                nr, var, var * (1.0 + 2.0 * r))
-    if isinstance(family, Binomial):
-        pe = family.pi * np.exp(-s)
-        base = (1.0 - family.pi) + pe
-        t = pe / base  # success probability among survivors
-        nt = _tilted(s, family.n * family.pi / (1.0 - family.pi), family.n * t)
-        var = nt * ((1.0 - family.pi) / base)
-        return family.n * np.log(base), nt, var, var * (1.0 - 2.0 * t)
-    if isinstance(family, Poisson):
-        x = _tilted(s, family.eta, family.eta * np.exp(-s))
-        return family.eta * np.expm1(-s), x, x, x
     if isinstance(family, ZeroModifiedPoisson):
         # Survivors put weight phi on 0 and amp x^k / k! on k >= 1, relative
         # to e^-eta.  Every sum is scaled by e^-x so none overflows, and
@@ -486,11 +468,11 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         den = phi * ex - amp * np.expm1(-x)
         mean = amp * x / den
         var = mean * ((phi * (1.0 + x) * ex + amp * _gamma_p2(x)) / den)
-        # k3 / mean = 2 g^2 - g + x (mean - x) with g = var / mean, and
-        # mean - x written as x (1 - phi) / (1 - e^-eta) e^-x / den, uncancelled.
-        g = var / mean
+        # k3 / mean = 2 g^2 - g + x (mean - x), so slope = g - x (mean - x),
+        # with mean - x written as x (1 - phi) / (1 - e^-eta) e^-x / den,
+        # uncancelled.
         excess = x * ((1.0 - phi) / -math.expm1(-family.eta)) * ex / den
-        k3 = mean * (2.0 * g * g - g + x * excess)
+        slope = var / mean - x * excess
         # Below x = 1e-150 only the atoms 0, 1, 2 are left, weighted e^t =
         # phi / (amp x), 1 and x / 2, over max(e^t, 1).  t is summed in logs:
         # x may be subnormal where the odds are not.
@@ -501,9 +483,10 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         p0, p1, p2 = w0 / total, w1 / total, w1 * (0.5 * x) / total
         mean = np.where(tiny, p1 + 2.0 * p2, mean)
         var = np.where(tiny, p0 * p1 + p1 * p2 + 4.0 * p0 * p2, var)
-        k3 = np.where(tiny, p2 * (2.0 * p0 + p1) ** 3 + p1 * (p0 - p2) ** 3
-                      - p0 * (p1 + 2.0 * p2) ** 3, k3)
-        return np.log(den) + x - family.eta, mean, var, k3
+        k3 = p2 * (2.0 * p0 + p1) ** 3 + p1 * (p0 - p2) ** 3 - p0 * (p1 + 2.0 * p2) ** 3
+        g = var / mean
+        slope = np.where(tiny, 2.0 * g * g - k3 / mean, slope)
+        return np.log(den) + x - family.eta, mean, var, slope
     if isinstance(family, Addams):
         alpha, gamma = family.alpha, family.gamma
         if alpha == 0.0:
@@ -524,22 +507,44 @@ def _survivor_triple(family: FrailtyFamily, s: np.ndarray):
         y = a * e
         log_l = (e / alpha) * np.where(y == 0.0, 1.0, np.log1p(y) / y)
         big = (np.log(a) - t + np.log1p(c * np.exp(t) / a)) / (a * alpha)
-        # RFV' = alpha RFV gives k3 = 2 var^2 / mean - alpha var.
-        var = dispersion * mean
-        return (np.where(np.isfinite(y), log_l, big), mean, var,
-                var * (2.0 * dispersion - alpha))
+        # RFV' = alpha RFV, so the slope is alpha var / mean.
+        return (np.where(np.isfinite(y), log_l, big), mean, dispersion * mean,
+                alpha * dispersion)
     if isinstance(family, KPoint):
         z = np.asarray(family.support)
         norm, mean, var, k3 = _kernels.kpoint_central_moments(
             z, np.asarray(family.probs), np.ravel(s))
-        return (np.log(norm).reshape(s.shape) - z[0] * s,
-                z[0] + mean.reshape(s.shape), var.reshape(s.shape), k3.reshape(s.shape))
+        mean, var = z[0] + mean.reshape(s.shape), var.reshape(s.shape)
+        g = var / mean
+        return (np.log(norm).reshape(s.shape) - z[0] * s, mean, var,
+                2.0 * g * g - k3.reshape(s.shape) / mean)
     if isinstance(family, GammaFrailty):
         m, v = family.mean, family.variance
         base = 1.0 + (v / m) * s
-        mean, var = m / base, v / base**2
-        return -(m * m / v) * np.log(base), mean, var, 2.0 * var * (var / mean)
-    raise UnsupportedFamily(f"not a frailty family: {family!r}")
+        # the RFV v / m^2 is constant
+        return -(m * m / v) * np.log(base), m / base, v / base**2, np.zeros_like(base)
+    # A lattice base of mean M and k3 = k var, moved up by p: 2 var - k M = M,
+    # so the slope 2 g^2 - k var / (M + p) is g (M - p k) / (M + p).
+    p, base = _unshift(family)
+    if isinstance(base, NegBin):
+        qe = (1.0 - base.pi) * np.exp(-s)
+        r = qe / (1.0 - qe)
+        big_m = _tilted(s, base.nu * (1.0 - base.pi), base.nu * r)
+        log_l = base.nu * (math.log(base.pi) - np.log1p(-qe))
+        var, k = big_m * (1.0 + r), 1.0 + 2.0 * r
+    elif isinstance(base, Binomial):
+        pe = base.pi * np.exp(-s)
+        den = (1.0 - base.pi) + pe
+        t = pe / den  # success probability among survivors
+        big_m = _tilted(s, base.n * base.pi / (1.0 - base.pi), base.n * t)
+        log_l, var, k = base.n * np.log(den), big_m * ((1.0 - base.pi) / den), 1.0 - 2.0 * t
+    elif isinstance(base, Poisson):
+        big_m = var = _tilted(s, base.eta, base.eta * np.exp(-s))
+        log_l, k = base.eta * np.expm1(-s), 1.0
+    else:
+        raise UnsupportedFamily(f"not a frailty family: {family!r}")
+    mean = big_m + p
+    return log_l - p * s, mean, var, var / mean * ((big_m - p * k) / mean)
 
 
 def check_grid(lam) -> np.ndarray:

@@ -9,10 +9,12 @@ The relative frailty variance (RFV) at generic time ``lam`` is
 the survivors' variance L''/L - (L'/L)^2 over their squared mean (L'/L)^2.
 This module evaluates that ratio from each family's survivor mean and
 variance (:func:`rfv_at`) and from the per-family closed forms
-(:func:`rfv_closed_at`).  With k3 the survivors' third central moment, the
-derivative (:func:`rfv_derivative`) is (2 Var^2 / mean - k3) / mean^2 for
-every family; its roots, found by one scan and one fold rule, are the
-stationary points, classified by thresholds relative to the RFV.  The tail
+(:func:`rfv_closed_at`).  The derivative (:func:`rfv_derivative`) is the
+survivor triple's slope, mean RFV' = 2 (Var / mean)^2 - k3 / mean with k3 the
+survivors' third central moment, over the mean; each family states that
+slope in a form that does not cancel.  Its roots, found by one scan and one
+fold rule, are the stationary points: a max or a min by the sign of RFV'
+below the root, a saddle where a fold of RFV' only touches zero.  The tail
 behaviour follows structurally from the smallest support point: mass at zero
 sends the RFV to infinity, a positive minimum to zero; constant RFVs stay flat.
 """
@@ -51,11 +53,10 @@ SCAN_INTERVALS = 4096
 #: Bisection stops once a bracket is narrower than this times its upper end.
 BISECT_TOL = 1e-12
 
-#: A root where |RFV''| lambda^2 falls below this fraction of the RFV is a
-#: saddle, and so is a tangential root refined to |RFV'| lambda below it.  The
-#: tests are relative in both directions: an RFV of any size, and a time axis
-#: in any unit (RFV' lambda and RFV'' lambda^2 keep the RFV's unit), classify
-#: alike.
+#: A fold of RFV', refined to the extremum m of RFV', is one saddle where
+#: |RFV'(m)| m falls below this fraction of the RFV.  The test is relative in
+#: both directions: an RFV of any size, and a time axis in any unit (RFV'
+#: lambda keeps the RFV's unit), classify alike.
 SADDLE_TOL = 1e-8
 
 
@@ -186,20 +187,17 @@ def _rfv_closed(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
 
 
 def rfv_derivative(family: FrailtyFamily, lam):
-    """d RFV / d lam from the survivors' mean, variance and third central
-    moment, one scale-free expression for every family.  Raises
-    :class:`NumericalOverflow` unless it is finite at every point."""
+    """d RFV / d lam, the survivors' slope (mean RFV') over their mean.
+    Raises :class:`NumericalOverflow` unless it is finite at every point."""
     arr = check_grid(lam)
     return _finite_result(_rfv_derivative(family, arr), arr, f"RFV derivative of {family}")
 
 
 @np.errstate(all="ignore")
 def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
-    """d/dlam of Var / mean^2 with dmean/dlam = -Var and dVar/dlam = -k3,
-    each term divided by the mean before it can leave range."""
-    _, mean, var, k3 = _survivor_triple(family, lam)
-    g = var / mean
-    return (2.0 * g * g - k3 / mean) / mean
+    """d/dlam of Var / mean^2: the survivor triple's slope over the mean."""
+    _, mean, _, slope = _survivor_triple(family, lam)
+    return slope / mean
 
 
 def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> np.ndarray:
@@ -229,8 +227,7 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
 
 
 def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
-    """All stationary points of the RFV on [0, lambda_max], sorted; none for
-    Addams and gamma families, whose RFV gamma e^(alpha lam) is monotone or flat.
+    """All stationary points of the RFV on [0, lambda_max], sorted.
 
     RFV' is scanned on a uniform grid (``lambda_max / 4096`` steps).  Each
     local minimum of |RFV'| between scan neighbours of one sign, where RFV''
@@ -240,12 +237,11 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     is one saddle, in place of any scan sign change beside it; else, if RFV'(m)
     has the other sign and the scan point has not, it brackets two roots, one
     on each side of m.  One bisection of RFV' refines these and the scan's
-    sign changes, classified min/max/saddle by RFV''.  Grid points where the
-    RFV has left float64 range take part in no test.
+    sign changes; a root is a min where RFV' is negative below it, else a
+    max.  Grid points where the RFV has left float64 range take part in no
+    test.
     """
     lambda_max = float(_spec.positive(lambda_max, "lambda_max"))
-    if isinstance(family, (Addams, GammaFrailty)):
-        return ()  # decided structurally: at tiny alpha, RFV' is rounding noise
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     spacing = grid[1]
     with np.errstate(all="ignore"):  # inf and nan past the float64 range
@@ -262,13 +258,11 @@ def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
         split = ~tangent & (d[i] * d[i - 1] > 0.0) & (dm * d[i - 1] < 0.0)
         sign_change = np.setdiff1d(np.nonzero(d[:-1] * d[1:] < 0.0)[0],
                                    np.r_[i[tangent] - 1, i[tangent]])
+        below = np.r_[d[sign_change], d[i[split] - 1], dm[split]]
         roots = _bisect(lambda x: _rfv_derivative(family, x),
                         np.r_[grid[sign_change], grid[i[split] - 1], m[split]],
-                        np.r_[grid[sign_change + 1], m[split], grid[i[split] + 1]],
-                        np.r_[d[sign_change], d[i[split] - 1], dm[split]])
-        d2 = _second_derivative(family, roots, spacing)
-        flat = np.abs(d2) * roots * roots < SADDLE_TOL * np.abs(_triple_rfv(family, roots))
-        kinds = np.where(flat, "saddle", np.where(d2 > 0.0, "min", "max"))
+                        np.r_[grid[sign_change + 1], m[split], grid[i[split] + 1]], below)
+        kinds = np.where(below < 0.0, "min", "max")
     points = [StationaryPoint(lam, kind) for lam, kind in zip(roots.tolist(), kinds.tolist())]
     points += [StationaryPoint(lam, "saddle") for lam in m[tangent].tolist()]
     return tuple(sorted(points, key=lambda p: p.lam))

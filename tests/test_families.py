@@ -242,9 +242,9 @@ class TestAddamsClosedForm:
             fam = Addams(alpha=alpha, gamma=0.5)
             c = 0.5 / alpha
             for s in (800.0, 1e4):
-                log_l, mean, var, k3 = _survivor_triple(fam, np.asarray(s))
+                log_l, mean, var, slope = _survivor_triple(fam, np.asarray(s))
                 assert np.isfinite(log_l) and np.isfinite(mean) and np.isfinite(var)
-                assert np.isfinite(k3)
+                assert np.isfinite(slope)
                 if alpha < 0.0:
                     assert_allclose(mean, 1.0 / (1.0 - c), rtol=1e-15)
                 else:

@@ -220,6 +220,11 @@ DERIVATIVE_CASES = {
     "gamma": fs.GammaFrailty(mean=1.0, variance=0.5),
 }
 
+#: Families whose RFV' has no root: each states its slope without a
+#: difference, so the derivative is held to its own size.
+NO_ROOT_CASES = {"poisson", "negbin", "binomial", "negbin-positive",
+                 "addams-rising", "addams-falling"}
+
 
 class TestDerivative:
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: type(f).__name__)
@@ -245,6 +250,16 @@ class TestDerivative:
         d = np.asarray(rfv_derivative(fs.NegBinPositive(pi=0.4, nu=2.0), lam))
         assert np.all(d < 0.0)
 
+    def test_slow_addams_exponent_keeps_its_sign(self):
+        # RFV' = alpha RFV > 0; as (2 g^2 - k3 / mean) / mean it cancelled to
+        # rounding noise, negative at 79 of these points
+        lam = np.linspace(0.0, 0.1, 4097)
+        assert np.all(rfv_derivative(fs.Addams(alpha=1e-14, gamma=100.0), lam) > 0.0)
+
+    def test_gamma_derivative_is_exactly_zero(self):
+        lam = np.linspace(0.0, 100.0, 401)
+        assert np.all(rfv_derivative(fs.GammaFrailty(mean=1.0, variance=0.5), lam) == 0.0)
+
     @pytest.mark.parametrize("name", sorted(DERIVATIVE_CASES))
     @given(lams=st.lists(st.floats(0.0, 700.0), min_size=1, max_size=8))
     @example(lams=np.linspace(0.0, 60.0, 121).tolist() + [37.578, 38.533, 300.0])
@@ -252,17 +267,26 @@ class TestDerivative:
     # lam = 17.42 on, and overflowed through e^lam past lam ~ 709
     @example(lams=[17.5, 20.0, 300.0, 700.0])
     def test_derivative_matches_high_precision(self, name, lams):
-        # RFV' = (2 Var^2 - k3 mean) / mean^3; near a root the two terms
-        # cancel, so the error is measured against their size
+        # RFV' = (2 Var^2 - k3 mean) / mean^3.  Where it has no root, each
+        # family's slope is free of that difference, and the error is
+        # relative to RFV' itself; the gamma RFV is constant, its RFV'
+        # exactly 0.  Near a root the two terms cancel, so there the error
+        # is measured against their size.
         fam = DERIVATIVE_CASES[name]
         got = np.atleast_1d(rfv_derivative(fam, lams))
+        if name == "gamma":
+            assert np.all(got == 0.0)
+            return
         for x, g in zip(lams, got):
             mean, var, k3 = _mp_survivor_cumulants(fam, x)
             ref = (2 * var**2 - k3 * mean) / mean**3
             size = float(abs(2 * var**2 / mean**3) + abs(k3 / mean**2))
             if size < sys.float_info.min:
                 continue  # the terms themselves are subnormal
-            assert abs(g - float(ref)) <= 1e-13 * size, (x, g, ref)
+            if name in NO_ROOT_CASES:
+                assert abs(g - float(ref)) <= 1e-14 * abs(float(ref)), (x, g, ref)
+            else:
+                assert abs(g - float(ref)) <= 1e-13 * size, (x, g, ref)
             if isinstance(fam, fs.Addams):
                 assert np.sign(g) == np.sign(fam.alpha)
             if isinstance(fam, fs.ZeroModifiedPoisson) and fam.phi == 0.0:
@@ -442,6 +466,46 @@ class TestStationaryPoints:
             warnings.simplefilter("error")
             far = stationary_points(fam, 1000.0)
         assert [p.kind for p in far] == [p.kind for p in stationary_points(fam, 10.0)]
+
+
+_FIG2_GRID = np.linspace(0.0, 12.0, 5000)
+
+#: The stationary points written to the fixed-config outputs, by their bits:
+#: the ``fig2`` and ``curve`` sidecars (scanned to the curve grid's end) and
+#: the ``verify`` stationary_points criterion (at its lambda_max).
+OUTPUT_POINTS = {
+    "fig2_set1": (KPOINT_EXAMPLES["set1"], _FIG2_GRID, [
+        ("0x1.ef5c48ce20c00p-4", "max"), ("0x1.035ad15b79a00p+0", "min"),
+        ("0x1.62bf07d5c2400p+1", "max")]),
+    "fig2_set2": (KPOINT_EXAMPLES["set2"], _FIG2_GRID, [
+        ("0x1.1e185f86d7e00p-1", "max"), ("0x1.248d4b5854a00p+1", "min")]),
+    "fig2_set3": (KPOINT_EXAMPLES["set3"], _FIG2_GRID, []),
+    "fig2_set4": (KPOINT_EXAMPLES["set4"], _FIG2_GRID, [("0x1.b7448421ef400p+0", "min")]),
+    "curve_set1": (KPOINT_EXAMPLES["set1"], np.linspace(0.0, 1500.0, 3001), [
+        ("0x1.ef5c48ce20af8p-4", "max"), ("0x1.035ad15b7a054p+0", "min"),
+        ("0x1.62bf07d5c1ea8p+1", "max")]),
+    "verify-shifted-poisson": (fs.Shifted(inner=fs.Poisson(eta=2.0), p=1.0), 8.0, [
+        ("0x1.62e42fefa3800p-1", "max")]),
+    "verify-shifted-negbin": (fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2), p=0.4), 8.0, [
+        ("0x1.62e42fefa3800p-1", "max")]),
+    "verify-shifted-binomial": (fs.Shifted(inner=fs.Binomial(pi=0.5, n=4), p=1.0), 8.0, [
+        ("0x1.9c041f7ed8800p+0", "max")]),
+    "verify-zero-deflated": (fs.ZeroModifiedPoisson(eta=3.0, phi=0.05), 10.0, [
+        ("0x1.5005e809a6200p-1", "max"), ("0x1.f3288d0847600p+0", "min")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_POINTS))
+def test_output_stationary_points_keep_their_bits(name):
+    # a moved last digit fails here, not only in a byte comparison of the
+    # output files
+    fam, scan, want = OUTPUT_POINTS[name]
+    if np.ndim(scan):
+        side = curve_sidecar(curve(fam, scan))
+        got = [(p["lambda"], p["kind"]) for p in side["stationary_points"]]
+    else:
+        got = [(p.lam, p.kind) for p in stationary_points(fam, scan)]
+    assert [(lam.hex(), kind) for lam, kind in got] == want
 
 
 ZERO_TRUNCATED = fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0)
@@ -830,12 +894,11 @@ def _ratio_root(c, lo, hi):
 
 
 def _zmp_roots(eta, phi, lambda_max):
-    """(lam, kind, flatness) of every root of RFV' on [0, lambda_max] from the
-    ratio analysis.  RFV' = (1 / u)(1 - c / ratio) with c = -offset and
+    """(lam, kind) of every root of RFV' on [0, lambda_max] from the ratio
+    analysis.  RFV' = (1 / u)(1 - c / ratio) with c = -offset and
     u = eta e^-lam, and ratio falls to e/3 at u = 1 (lam = ln eta) and rises on
     either side of it: a crossing on the branch u > 1 is a max, one on the
-    branch u < 1 a min.  At a root RFV'' = -ratio'(u) / c and the RFV is
-    (1 - c (1 + u) e^-u) / u, so flatness = |RFV''| lam^2 / RFV."""
+    branch u < 1 a min."""
     c = (1.0 - phi) / (1.0 - phi * math.exp(-eta))
     u_end = eta * math.exp(-lambda_max)
     branches = []
@@ -845,11 +908,7 @@ def _zmp_roots(eta, phi, lambda_max):
         branches.append((u_end, min(eta, 1.0), "min"))
     roots = []
     for lo, hi, kind in branches:
-        u = _ratio_root(c, lo, hi)
-        lam = math.log(eta / u)
-        slope = math.exp(u) * (u * u - u) / (1.0 + u + u * u) ** 2
-        rfv = (1.0 - c * (1.0 + u) * math.exp(-u)) / u
-        roots.append((lam, kind, abs(slope / c) * lam * lam / rfv))
+        roots.append((math.log(eta / _ratio_root(c, lo, hi)), kind))
     return roots
 
 
@@ -864,12 +923,14 @@ def _zmp_roots(eta, phi, lambda_max):
 @example(3.0, -1.0, -8.0, 5.1)
 @example(3.0, -1.0, -9.0, 5.0)
 @example(3.0, -1.0, -9.0, 12.55)
+# a min at lam = 6.8e-4, flat on the scale lam, was called a saddle when
+# kinds came from |RFV''| lam^2
+@example(1.0, -1.0, -7.0, 1.0)
 def test_zmp_kinds_at_the_fold_match_the_ratio_analysis(eta, side, exponent, lambda_max):
     # phi = phi*(eta) + side 10^exponent, phi* = (1 - e/3) / (1 - (e/3) e^-eta)
-    # where the two roots of ratio = c meet at ln eta.  Kinds follow the
-    # package's flatness convention: a root with |RFV''| lam^2 below
-    # SADDLE_TOL times the RFV is a saddle, and so is the fold at ln eta,
-    # max and min together, when |RFV'| lam there is below SADDLE_TOL times it.
+    # where the two roots of ratio = c meet at ln eta.  Each root keeps its
+    # kind from the ratio analysis; the one saddle is the fold at ln eta, max
+    # and min together, when |RFV'| lam there is below SADDLE_TOL times the RFV.
     phi = (1.0 - math.e / 3.0) / (1.0 - math.e / 3.0 * math.exp(-eta)) + side * 10.0**exponent
     assume(0.0 <= phi < math.exp(eta))
     spacing = lambda_max / 4096
@@ -877,15 +938,14 @@ def test_zmp_kinds_at_the_fold_match_the_ratio_analysis(eta, side, exponent, lam
     # at ln eta, u = 1: RFV' = 1 - 3c/e and the RFV is 1 - 2c/e
     fold = abs(1.0 - 3.0 * c / math.e) * math.log(eta) / (1.0 - 2.0 * c / math.e)
     if 1.0 < eta < math.exp(lambda_max) and fold < 2.0 * SADDLE_TOL:
-        want = [(math.log(eta), "saddle", fold)]
+        assume(fold < 0.5 * SADDLE_TOL)
+        want = [(math.log(eta), "saddle")]
     else:
         want = _zmp_roots(eta, phi, lambda_max)
-    for lam, _, flatness in want:
+    for lam, _ in want:
         assume(2.0 * spacing < lam < lambda_max - 2.0 * spacing)
-        assume(not 0.5 * SADDLE_TOL <= flatness < 2.0 * SADDLE_TOL)
     got = stationary_points(fs.ZeroModifiedPoisson(eta=eta, phi=phi), lambda_max)
-    assert [p.kind for p in got] == [
-        "saddle" if flatness < SADDLE_TOL else kind for _, kind, flatness in want], (phi, got)
+    assert [p.kind for p in got] == [kind for _, kind in want], (phi, got)
 
 
 @settings(max_examples=100)
@@ -893,10 +953,12 @@ def test_zmp_kinds_at_the_fold_match_the_ratio_analysis(eta, side, exponent, lam
        st.floats(0.1, 1e3))
 @example(-10.0, 1.0, 0.5, 12.0)
 def test_addams_reports_no_stationary_point(exponent, sign, gamma, lambda_max):
-    # the RFV gamma e^(alpha lam) is strictly monotone.  Below |alpha| ~ 1e-8
-    # the rounding in RFV' made local minima of |RFV'| flat to SADDLE_TOL at
-    # hundreds of scan points, and from gamma ~ 100 at |alpha| = 1e-14 it
-    # changes the sign of RFV', so the answer is structural
+    # the RFV gamma e^(alpha lam) is strictly monotone.  RFV' = alpha RFV
+    # has the sign of alpha at every scan point, so the numeric scan finds
+    # no sign change; its rounding still makes local minima of |RFV'| flat
+    # to SADDLE_TOL at tiny alpha, which the depth guard of a fold rejects.
+    # When RFV' was a difference of cumulants, it changed sign from
+    # gamma ~ 100 at |alpha| = 1e-14.
     assert stationary_points(fs.Addams(alpha=sign * 10.0**exponent, gamma=gamma),
                              lambda_max) == ()
 
