@@ -51,9 +51,7 @@ from .families import (
 from .oracle import SurvivorPmf, _normalised, _rfv_from_sums, rfv as oracle_rfv, survivor_pmf
 from .shapes import classify_tail, crf_at
 from .hazards import _check_hazards, _check_time_vector
-from .simulate import _inverse_cdf, _philox
-
-_STREAM_CORRELATED = 3
+from .simulate import _STREAM_CORRELATED, _inverse_cdf, _philox
 
 
 # ---------------------------------------------------------------------------

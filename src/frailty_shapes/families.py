@@ -247,25 +247,21 @@ def validate(family: FrailtyFamily) -> None:
 
 def moments(family: FrailtyFamily) -> tuple:
     """(mean, variance) of the unconditional frailty distribution."""
+    p, base = _unshift(family)
+    if base is not family:
+        m, v = moments(base)
+        return m + p, v
     if isinstance(family, NegBin):
         q = 1.0 - family.pi
         return family.nu * q / family.pi, family.nu * q / family.pi**2
-    if isinstance(family, NegBinPositive):
-        q = 1.0 - family.pi
-        return family.nu / family.pi, family.nu * q / family.pi**2
     if isinstance(family, Binomial):
         return family.n * family.pi, family.n * family.pi * (1.0 - family.pi)
     if isinstance(family, Poisson):
         return family.eta, family.eta
-    if isinstance(family, Shifted):
-        m, v = moments(family.inner)
-        return m + family.p, v
     if isinstance(family, ZeroModifiedPoisson):
-        eta, phi = family.eta, family.phi
-        scale = (1.0 - phi * math.exp(-eta)) / -math.expm1(-eta)
+        eta, scale = family.eta, _zmp_scale(family)
         mean = scale * eta
-        second = scale * (eta + eta * eta)
-        return mean, second - mean * mean
+        return mean, scale * (eta + eta * eta) - mean * mean
     if isinstance(family, Addams):
         # From the transform at 0: L(0) = 1, L'(0) = -1, L''(0) = 1 + gamma.
         return 1.0, family.gamma

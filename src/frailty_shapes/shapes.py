@@ -202,10 +202,11 @@ def _rfv_derivative(family: FrailtyFamily, lam: np.ndarray) -> np.ndarray:
 
 def _second_derivative(family: FrailtyFamily, lam: np.ndarray, floor: float) -> np.ndarray:
     """RFV'' by a difference of RFV' with step 1e-5 lambda, but never below
-    1e-5 ``floor``, the scan spacing, so that the step follows the time unit."""
+    1e-5 ``floor``, the scan spacing, so that the step follows the time unit;
+    one survivor triple call takes both ends."""
     h = 1e-5 * np.maximum(lam, floor)
     lo = np.maximum(lam - h, 0.0)
-    return (_rfv_derivative(family, lam + h) - _rfv_derivative(family, lo)) / (lam + h - lo)
+    return np.subtract(*np.split(_rfv_derivative(family, np.r_[lam + h, lo]), 2)) / (lam + h - lo)
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
@@ -229,35 +230,43 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> np.ndarray:
 def stationary_points(family: FrailtyFamily, lambda_max: float) -> tuple:
     """All stationary points of the RFV on [0, lambda_max], sorted.
 
-    RFV' is scanned on a uniform grid (``lambda_max / 4096`` steps).  Each
-    local minimum of |RFV'| between scan neighbours of one sign, where RFV''
-    changes sign across them, is a fold, refined on RFV'' to the extremum m
-    of RFV'.  A fold whose |RFV'(m)| lambda is below ``SADDLE_TOL`` times the
-    RFV, and |RFV'(m)| below half its neighbours' (a dip, not rounding noise),
-    is one saddle, in place of any scan sign change beside it; else, if RFV'(m)
-    has the other sign and the scan point has not, it brackets two roots, one
-    on each side of m.  One bisection of RFV' refines these and the scan's
-    sign changes; a root is a min where RFV' is negative below it, else a
-    max.  Grid points where the RFV has left float64 range take part in no
-    test.
+    RFV' is scanned on a uniform grid (``lambda_max / 4096`` steps).  Its
+    turns are the scan points where the scan's differences of RFV' change
+    sign; the neighbours of a turn are the turns beside it, or the scan's
+    ends.  Each turn where RFV'' changes sign across its scan neighbours is a
+    fold, refined on RFV'' to the extremum m of RFV'.  A fold whose
+    |RFV'(m)| lambda is below ``SADDLE_TOL`` times the RFV, and |RFV'(m)|
+    below half that of its neighbouring turns (a dip, not rounding noise), is
+    one saddle, in place of every scan sign change between those turns, where
+    RFV' is monotone; else, if RFV'(m) has the other sign and the turn and
+    its scan neighbours have not, it brackets two roots, one on each side of
+    m.  One bisection of RFV' refines these and the scan's sign changes; a
+    root is a min where RFV' is negative below it, else a max.  Grid points
+    where the RFV has left float64 range take part in no test.  So the kinds
+    of the points away from the scan's end do not depend on ``lambda_max``.
     """
     lambda_max = float(_spec.positive(lambda_max, "lambda_max"))
     grid = np.linspace(0.0, lambda_max, SCAN_INTERVALS + 1)
     spacing = grid[1]
     with np.errstate(all="ignore"):  # inf and nan past the float64 range
-        d = np.where(np.isfinite(_triple_rfv(family, grid)), _rfv_derivative(family, grid), np.nan)
-        a, i = np.abs(d), np.arange(1, SCAN_INTERVALS)
-        i = i[(a[i] < a[i - 1]) & (a[i] <= a[i + 1]) & (d[i - 1] * d[i + 1] > 0.0)]
-        g_lo, g_hi = (_second_derivative(family, grid[i + k], spacing) for k in (-1, 1))
-        i, g_lo = i[g_lo * g_hi < 0.0], g_lo[g_lo * g_hi < 0.0]
+        _, mean, var, slope = _survivor_triple(family, grid)
+        d = np.where(np.isfinite((var / mean) / mean), slope / mean, np.nan)
+        t, a = np.diff(d), np.abs(d)
+        turn = np.r_[0, 1 + np.nonzero(t[:-1] * t[1:] < 0.0)[0], SCAN_INTERVALS]
+        g_lo, g_hi = (_second_derivative(family, grid[turn[1:-1] + s], spacing) for s in (-1, 1))
+        k = 1 + np.nonzero(g_lo * g_hi < 0.0)[0]
+        i, g_lo = turn[k], g_lo[k - 1]
         m = _bisect(lambda x: _second_derivative(family, x, spacing),
                     grid[i - 1], grid[i + 1], g_lo)
         dm = _rfv_derivative(family, m)
         tangent = ((np.abs(dm) * m < SADDLE_TOL * _triple_rfv(family, m))
-                   & (np.abs(dm) < 0.5 * np.minimum(a[i - 1], a[i + 1])))
-        split = ~tangent & (d[i] * d[i - 1] > 0.0) & (dm * d[i - 1] < 0.0)
-        sign_change = np.setdiff1d(np.nonzero(d[:-1] * d[1:] < 0.0)[0],
-                                   np.r_[i[tangent] - 1, i[tangent]])
+                   & (np.abs(dm) < 0.5 * np.fmin(a[turn[k - 1]], a[turn[k + 1]])))
+        split = (~tangent & (d[i - 1] * d[i] > 0.0) & (d[i] * d[i + 1] > 0.0)
+                 & (dm * d[i] < 0.0))
+        sign_change = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+        # one between turns k - 1 and k searches to k: the saddle at either absorbs it
+        sign_change = sign_change[~np.isin(np.searchsorted(turn, sign_change, "right"),
+                                           np.r_[k[tangent], k[tangent] + 1])]
         below = np.r_[d[sign_change], d[i[split] - 1], dm[split]]
         roots = _bisect(lambda x: _rfv_derivative(family, x),
                         np.r_[grid[sign_change], grid[i[split] - 1], m[split]],

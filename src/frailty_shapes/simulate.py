@@ -44,6 +44,7 @@ BOOTSTRAP_RESAMPLES = 200
 _STREAM_MAIN = 0
 _STREAM_RFV_BOOT = 1
 _STREAM_CRF_BOOT = 2
+_STREAM_CORRELATED = 3
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:

@@ -447,9 +447,10 @@ class TestStationaryPoints:
     ])
     def test_rounding_noise_in_the_derivative_is_no_fold(self, fam, lambda_max):
         # RFV' is 5.2e-12 and 6.6e-13 throughout (mpmath), so the RFV is
-        # monotone and flat to SADDLE_TOL; its rounding makes local minima of
-        # |RFV'| at many scan points, 8 and 6 of them flat enough to pass for
-        # saddles unless a fold must dip below half its neighbours' |RFV'|
+        # monotone and flat to SADDLE_TOL; its rounding makes 850 and 560 turns
+        # of RFV' on the scan, 12 and 8 of them folds flat enough to pass for
+        # saddles unless a fold must dip below half the |RFV'| of the turns
+        # beside it
         assert stationary_points(fam, lambda_max) == ()
 
     @pytest.mark.parametrize("fam", [
@@ -457,11 +458,14 @@ class TestStationaryPoints:
         fs.Shifted(inner=fs.NegBin(pi=0.5, nu=2.0), p=0.4),
         fs.ZeroModifiedPoisson(eta=3.0, phi=0.05),
         fs.ZeroModifiedPoisson(eta=0.5275, phi=0.0),
-    ], ids=["poisson", "shifted-negbin", "zero-deflated", "zero-truncated"])
+        fs.ZeroModifiedPoisson(eta=3.0, phi=(3.0 - np.e) / (3.0 - np.exp(-2.0)) - 1e-9),
+    ], ids=["poisson", "shifted-negbin", "zero-deflated", "zero-truncated", "fold-saddle"])
     def test_scan_runs_past_the_float64_range(self, fam):
         # Well before lam = 1000 the RFV overflows or its survivor moments
         # underflow to 0; the scan neither raises nor warns there, and finds
-        # the same points as on [0, 10]
+        # the same points as on [0, 10].  The fold saddle's last turn has the
+        # scan's end beside it, where RFV' is nan: its depth guard reads the
+        # turn on its other side.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             far = stationary_points(fam, 1000.0)
@@ -893,6 +897,19 @@ def _ratio_root(c, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _near_fold(eta, side, exponent):
+    """phi = phi*(eta) + side 10^exponent, phi* = (1 - e/3) / (1 - (e/3) e^-eta)
+    where the two roots of ratio = c meet at ln eta."""
+    return (1.0 - math.e / 3.0) / (1.0 - math.e / 3.0 * math.exp(-eta)) + side * 10.0**exponent
+
+
+def _fold_measure(eta, phi):
+    """|RFV'| lam / RFV at ln eta, where u = 1: RFV' = 1 - 3c/e and the RFV is
+    1 - 2c/e."""
+    c = (1.0 - phi) / (1.0 - phi * math.exp(-eta))
+    return abs(1.0 - 3.0 * c / math.e) * math.log(eta) / (1.0 - 2.0 * c / math.e)
+
+
 def _zmp_roots(eta, phi, lambda_max):
     """(lam, kind) of every root of RFV' on [0, lambda_max] from the ratio
     analysis.  RFV' = (1 / u)(1 - c / ratio) with c = -offset and
@@ -926,17 +943,19 @@ def _zmp_roots(eta, phi, lambda_max):
 # a min at lam = 6.8e-4, flat on the scale lam, was called a saddle when
 # kinds came from |RFV''| lam^2
 @example(1.0, -1.0, -7.0, 1.0)
+# a saddle whose max and min lay one or more scan spacings apart was reported
+# as (max, min) or as nothing, by the scan range
+@example(1.25, -1.0, -8.25, 1.0)
+@example(1.125, -1.0, -8.0, 1.0)
+@example(1.125, 1.0, -8.0, 1.0)
 def test_zmp_kinds_at_the_fold_match_the_ratio_analysis(eta, side, exponent, lambda_max):
-    # phi = phi*(eta) + side 10^exponent, phi* = (1 - e/3) / (1 - (e/3) e^-eta)
-    # where the two roots of ratio = c meet at ln eta.  Each root keeps its
-    # kind from the ratio analysis; the one saddle is the fold at ln eta, max
-    # and min together, when |RFV'| lam there is below SADDLE_TOL times the RFV.
-    phi = (1.0 - math.e / 3.0) / (1.0 - math.e / 3.0 * math.exp(-eta)) + side * 10.0**exponent
+    # Each root keeps its kind from the ratio analysis; the one saddle is the
+    # fold at ln eta, max and min together, when |RFV'| lam there is below
+    # SADDLE_TOL times the RFV.
+    phi = _near_fold(eta, side, exponent)
     assume(0.0 <= phi < math.exp(eta))
     spacing = lambda_max / 4096
-    c = (1.0 - phi) / (1.0 - phi * math.exp(-eta))
-    # at ln eta, u = 1: RFV' = 1 - 3c/e and the RFV is 1 - 2c/e
-    fold = abs(1.0 - 3.0 * c / math.e) * math.log(eta) / (1.0 - 2.0 * c / math.e)
+    fold = _fold_measure(eta, phi)
     if 1.0 < eta < math.exp(lambda_max) and fold < 2.0 * SADDLE_TOL:
         assume(fold < 0.5 * SADDLE_TOL)
         want = [(math.log(eta), "saddle")]
@@ -946,6 +965,49 @@ def test_zmp_kinds_at_the_fold_match_the_ratio_analysis(eta, side, exponent, lam
         assume(2.0 * spacing < lam < lambda_max - 2.0 * spacing)
     got = stationary_points(fs.ZeroModifiedPoisson(eta=eta, phi=phi), lambda_max)
     assert [p.kind for p in got] == [kind for _, kind in want], (phi, got)
+
+
+def test_near_fold_saddle_at_every_scan_range():
+    # 10^-8.25 below the fold the max and min lie 3.4e-4 apart and flatter
+    # than SADDLE_TOL: one saddle, whether the scan spacing is 14 times that
+    # gap or a third of it
+    fam = fs.ZeroModifiedPoisson(eta=1.25, phi=_near_fold(1.25, -1.0, -8.25))
+    for lambda_max in np.linspace(0.5, 20.0, 40):
+        assert [p.kind for p in stationary_points(fam, lambda_max)] == ["saddle"], lambda_max
+
+
+def _near_fold_zmp(eta, side, exponent):
+    return fs.ZeroModifiedPoisson(eta=eta, phi=_near_fold(eta, side, exponent))
+
+
+@settings(max_examples=50)
+@given(st.one_of(
+           st.builds(_near_fold_zmp, st.floats(1.0, 6.0, exclude_min=True),
+                     st.sampled_from([-1.0, 1.0]), st.floats(-10.0, -6.0)),
+           st.builds(_kpoint,
+                     support=st.lists(st.floats(1e-150, 5.0), min_size=5, max_size=5, unique=True),
+                     weights=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+                     with_zero=st.booleans())),
+       st.floats(0.5, 10.0), st.floats(1.0, 4.0))
+# a saddle below and above the fold was reported as (max, min) or as nothing
+# on the shorter scan
+@example(_near_fold_zmp(1.12, -1.0, -8.2), 1.4, 2.5)
+@example(_near_fold_zmp(1.06, 1.0, -7.7), 0.9, 2.8)
+def test_kinds_do_not_depend_on_the_scan_range(fam, lambda_1, stretch):
+    # the points both scans see, clear of the shorter one's end by three of
+    # the longer one's spacings, have the same kinds.  A fold within a factor
+    # 2 of SADDLE_TOL may be measured on either side of it, as in the fold
+    # test above, so those families are left out.
+    if isinstance(fam, fs.ZeroModifiedPoisson):
+        assume(not 0.5 * SADDLE_TOL <= _fold_measure(fam.eta, fam.phi) <= 2.0 * SADDLE_TOL)
+    lambda_2 = stretch * lambda_1
+    h = lambda_2 / 4096
+
+    def kinds(lambda_max):
+        return [p.kind for p in stationary_points(fam, lambda_max)
+                if 3.0 * h <= p.lam <= lambda_1 - 3.0 * h]
+
+    assert kinds(lambda_1) == kinds(lambda_2)
 
 
 @settings(max_examples=100)
