@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 
+from . import _fork
+
 
 def active_backend() -> str:
     """Name of the kernel implementation in use; always ``"numpy"``."""
@@ -34,29 +36,37 @@ def survivor_moment_grid(z, log_g, lam):
     variance is summed about the mean.  Rows are formed one block at a time.
     Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover group of
     rows in another order, so only such blocks give every row the same bits
-    as one product over the whole grid.
+    as one product over the whole grid.  A grid of three or more blocks
+    shares them with one forked helper (:func:`._fork.map_on_two_cores`)
+    when two or more cores are there; each block is computed whole on one
+    side, so the bits depend neither on the helper nor on the core count.
     """
     dz = z - z[0]
-    n = lam.shape[0]
     rows = max(64, _BLOCK_BYTES // (8 * dz.size) // 64 * 64)
-    log_norm, mean, var, g0 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+
+    def block(start):
+        blk = slice(start, start + rows)
+        w = np.multiply.outer(lam[blk], dz)
+        np.subtract(log_g(blk) if callable(log_g) else log_g, w, out=w)
+        top = w.max(axis=1)
+        w -= top[:, None]
+        np.exp(w, out=w)
+        norm = w.sum(axis=1)
+        mean = w @ dz / norm
+        c = dz - mean[:, None]
+        c *= c
+        return top + np.log(norm), mean, np.einsum("ij,ij->i", w, c) / norm, w[:, 0] / norm
+
+    starts = range(0, lam.shape[0], rows)
+    out = np.empty((4, lam.shape[0]))
     # lam (z - z_min) past float64 is a weight of 0; an all -inf row gives nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            blk = slice(start, start + rows)
-            w = np.multiply.outer(lam[blk], dz)
-            np.subtract(log_g(blk) if callable(log_g) else log_g, w, out=w)
-            top = w.max(axis=1)
-            w -= top[:, None]
-            np.exp(w, out=w)
-            norm = w.sum(axis=1)
-            log_norm[blk] = top + np.log(norm)
-            mean[blk] = w @ dz / norm
-            c = dz - mean[blk, None]
-            c *= c
-            var[blk] = np.einsum("ij,ij->i", w, c) / norm
-            g0[blk] = w[:, 0] / norm
-    return log_norm, mean, var, g0
+        # as in the CSV writer, the fork pays for itself only from three blocks on
+        parts = (_fork.map_on_two_cores(block, starts) if len(starts) > 2
+                 else [block(start) for start in starts])
+    for start, part in zip(starts, parts):
+        out[:, start:start + rows] = part
+    return tuple(out)
 
 
 def kpoint_rfv_grid(z, pr, lam):

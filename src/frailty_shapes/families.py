@@ -300,7 +300,11 @@ def _unshift(family: FrailtyFamily) -> tuple:
     return 0.0, family
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+def _lgamma(x) -> np.ndarray:
+    """``math.lgamma`` at each entry of ``x``, as a float64 array of its
+    shape; read straight into the array, with no object array between."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(math.lgamma, x.flat), np.float64, x.size).reshape(x.shape)
 
 
 def _log_pmf(family: FrailtyFamily, k: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._fork import map_on_two_cores
 from .errors import EmptyWindow, NumericalOverflow, ParameterOutOfRange, TooFewAtRisk
 from .families import (
     Addams,
@@ -526,11 +527,18 @@ def run_criterion(name: str) -> CriterionResult:
 
 def run_all(only: Optional[list] = None) -> list:
     """Run all criteria, or those named in the list ``only`` in its order;
-    every name is checked before any criterion runs."""
+    every name is checked before any criterion runs.
+
+    With two or more criteria and two or more cores, this process and one
+    forked helper each take the next criterion in turn
+    (:func:`._fork.map_on_two_cores`); results come back in name order, and
+    a criterion that raises raises here, the first in name order, as when
+    they run one after another.
+    """
     names = list(CRITERIA) if only is None else list(only)
     for name in names:
         _criterion(name)
-    return [run_criterion(name) for name in names]
+    return map_on_two_cores(run_criterion, names)
 
 
 def report(results: list) -> dict:

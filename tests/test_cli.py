@@ -1,14 +1,18 @@
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frailty_shapes import cli, verify
+from frailty_shapes.errors import ParameterOutOfRange
 from frailty_shapes.extensions import piecewise_rfv
 from frailty_shapes.verify import Check, CriterionResult
 
@@ -399,6 +403,33 @@ class TestVerifyCommand:
         rc, out, _ = run_main(["verify"], capsys)
         assert rc == 1
         assert json.loads(out)["passed"] is False
+
+    def test_records_do_not_depend_on_the_core_count(self, monkeypatch):
+        records = {}
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            records[len(cores)] = [{**asdict(r), "seconds": None} for r in verify.run_all()]
+        assert records[1] == records[2]
+
+    @pytest.mark.parametrize("side,cores", [("parent", {0}), ("parent", {0, 1}),
+                                            ("helper", {0, 1})])
+    def test_criterion_raising_exits_two(self, capsys, monkeypatch, side, cores):
+        # every criterion raises where ``side`` runs it and takes 20 ms on
+        # the other side, so that each process takes some of them
+        parent = os.getpid()
+
+        def criterion():
+            if side == ("parent" if os.getpid() == parent else "helper"):
+                raise ParameterOutOfRange(f"raised in the {side}")
+            time.sleep(0.02)
+            return []
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        monkeypatch.setattr(verify, "CRITERIA", dict.fromkeys(verify.CRITERIA, criterion))
+        rc, out, err = run_main(["verify"], capsys)
+        assert (rc, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"] == "ParameterOutOfRange"
+        assert json.loads(err)["message"] == f"raised in the {side}"
 
 
 #: A tiny config per subcommand, with the extra arguments it runs with.

@@ -43,7 +43,7 @@ from frailty_shapes import (
     rfv_at,
     support_table,
 )
-from frailty_shapes.families import _gamma_p2, _survivor_triple
+from frailty_shapes.families import _gamma_p2, _lgamma, _survivor_triple
 
 LN2 = np.log(2.0)
 
@@ -212,6 +212,15 @@ class TestSupportTable:
         for fam in (Poisson(eta=2.0), KPoint(support=(0.0, 1.0), probs=(0.5, 0.5))):
             with pytest.raises(ParameterOutOfRange, match="tail must lie in"):
                 support_table(fam, tail)
+
+
+@pytest.mark.parametrize("x", [np.float64(0.5), np.array(7.25), np.linspace(0.5, 1e7, 1001),
+                               np.arange(1.0, 13.0).reshape(3, 4) ** 3])
+def test_lgamma_is_math_lgamma_bitwise(x):
+    got = _lgamma(x)
+    assert got.dtype == np.float64 and got.shape == np.shape(x)
+    want = [math.lgamma(v) for v in np.ravel(x)]
+    assert [float.hex(float(v)) for v in got.ravel()] == [float.hex(v) for v in want]
 
 
 def test_gamma_p2_matches_high_precision_reference():

@@ -1,5 +1,5 @@
-"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join, and the
-life of its forked format helper."""
+"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join, the
+life of its forked format helper, and the map that shares its fork routine."""
 
 import json
 import math
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frailty_shapes import _io, cli
+from frailty_shapes import _fork, _io, cli
 
 B = _io._BLOCK_ROWS
 
@@ -242,3 +242,166 @@ def test_helper_failure_exits_two_from_the_command_line(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "OSError"
+
+
+# The map shares the writer's fork routine: the same helper life, for items.
+
+
+def _square(x):
+    return x * x
+
+
+# 200000 indices overfill a 1 MiB index pipe, so the parent runs the head of
+# the pipe before it forks
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 200_000])
+def test_map_equals_the_serial_list(monkeypatch, n):
+    pids = _helper_pids(monkeypatch)
+    assert _fork.map_on_two_cores(_square, range(n)) == [x * x for x in range(n)]
+    assert len(pids) == (n >= 2)
+
+
+@pytest.mark.parametrize("n,cores", [(1, {0, 1}), (50, {0})])
+def test_map_forks_no_helper_for_one_item_or_one_core(monkeypatch, n, cores):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    assert _fork.map_on_two_cores(_square, range(n)) == [x * x for x in range(n)]
+
+
+def _slow_unless(side, stop):
+    """An item function that raises ``stop`` on the items it runs in
+    ``side`` ("parent", "helper" or neither) and takes 10 ms on the others,
+    so that each process takes some of the items."""
+    parent = os.getpid()
+
+    def fn(i):
+        if side == ("parent" if os.getpid() == parent else "helper"):
+            raise stop(f"item {i} in the {side}")
+        time.sleep(0.01)
+        return i
+
+    return fn
+
+
+@pytest.mark.parametrize("case", ["end", "raise", "interrupt", "helper raises"])
+def test_map_helper_is_reaped_however_the_items_end(monkeypatch, case):
+    pids = _helper_pids(monkeypatch)
+    if case == "end":
+        assert _fork.map_on_two_cores(_slow_unless("neither", _Stop), range(50)) == list(range(50))
+    else:
+        stop = KeyboardInterrupt if case == "interrupt" else _Stop
+        side = "helper" if case == "helper raises" else "parent"
+        with pytest.raises(stop, match=f"in the {side}$"):
+            _fork.map_on_two_cores(_slow_unless(side, stop), range(50))
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_map_raises_the_lowest_failing_index(monkeypatch):
+    # item 1 fails at once and item 0 a moment later, each in its own
+    # process; the serial loop would stop at item 0
+    pids = _helper_pids(monkeypatch)
+
+    def fn(i):
+        if i < 2:
+            time.sleep(0.2 * (1 - i))
+            raise _Stop(f"item {i}")
+        return i
+
+    with pytest.raises(_Stop, match="^item 0$"):
+        _fork.map_on_two_cores(fn, range(50))
+    assert len(pids) == 1
+
+
+def test_map_helper_failure_raises_os_error(monkeypatch):
+    _helper_pids(monkeypatch)
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            os._exit(3)  # the helper dies without an answer
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(OSError, match="helper"):
+        _fork.map_on_two_cores(fn, range(20))
+
+
+def _fail_to_load():
+    raise RuntimeError("cannot be unpickled")
+
+
+class _Unreadable:
+    def __reduce__(self):
+        return _fail_to_load, ()
+
+
+def test_map_helper_failure_raises_os_error_when_results_cannot_be_read(monkeypatch):
+    _helper_pids(monkeypatch)
+    parent = os.getpid()
+
+    def fn(i):
+        time.sleep(0.01)
+        return i if os.getpid() == parent else _Unreadable()
+
+    with pytest.raises(OSError, match="helper"):
+        _fork.map_on_two_cores(fn, range(20))
+
+
+def test_map_nested_work_never_forks(monkeypatch):
+    # fork records helper pids in the parent only: the helper's copy of the
+    # list is the one from before its fork, so it grows only if the helper
+    # forks again; in the parent it holds the one helper
+    pids = _helper_pids(monkeypatch)
+
+    def fn(i):
+        time.sleep(0.01)
+        return os.getpid(), len(pids), _fork.map_on_two_cores(_square, range(5))
+
+    results = _fork.map_on_two_cores(fn, range(20))
+    assert [r[2] for r in results] == [[x * x for x in range(5)]] * 20
+    assert len(pids) == 1
+    sides = {pid: seen for pid, seen, _ in results}
+    assert sides == {os.getpid(): 1, pids[0]: 0}
+
+
+#: Maps 200 items: the parent's first sleeps for a minute, the helper's take
+#: 50 ms each.  Prints the helper's pid once forked.
+_KILLED_MAP = """
+import os, sys, time
+from frailty_shapes import _fork
+
+fork = os.fork
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announcing_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+
+def item(i):
+    time.sleep(60 if os.getpid() == parent else 0.05)
+
+_fork.map_on_two_cores(item, range(200))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_map_helper_leaves_when_the_parent_is_killed():
+    # left alone, the helper would run the other 199 items for ten seconds
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_MAP],
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(proc.stdout.readline())
+        time.sleep(0.2)
+        assert _running(pid)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(pid)

@@ -6,6 +6,7 @@ of any Laplace-transform algebra.  These tests freeze hand-computed values
 and the structural properties the rest of the suite leans on.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,19 @@ def test_blocked_sums_with_one_prior_row_per_lam(fam):
     got = _kernels.survivor_moment_grid(table.z, lambda blk: log_prior[blk], lam)
     for blocked, whole in zip(got, _one_shot_sums(table.z, log_prior, lam)):
         assert np.array_equal(blocked, whole)
+
+
+def test_oracle_bits_do_not_depend_on_the_core_count(monkeypatch):
+    # 53 blocks of 192 rows: on two cores the forked helper computes some
+    lams = np.linspace(0.0, 5.0, 10_000)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    got = {}
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        got[len(cores)] = rfv(fs.Poisson(eta=200.0), lams)
+    assert got[1].tobytes() == got[2].tobytes()
+    assert len(forks) == 1
 
 
 def test_oracle_working_memory_is_bounded():
