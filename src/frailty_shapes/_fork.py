@@ -1,22 +1,22 @@
 """One forked helper process, for work that pays for a second core.
 
-Two jobs use it: the CSV writer (:func:`._io.write_csv`), which hands every
-other block of rows to the helper to format, and :func:`map_on_two_cores`,
-which shares a list of items between this process and the helper: the
-survivor kernel's row blocks and the verification suite's criteria.  Both
-fork through :func:`helper`, and only when :func:`can_fork` says so: when
-the process may run on two or more cores and neither has a helper at work
-nor is one.  So a helper never forks a helper of its own, calls nested in
-shared work run serially, and at most two processes ever work at once.
+:func:`map_on_two_cores` is ``map`` over a list of items, with the items
+shared between this process and one helper forked through :func:`helper`.
+Every job that uses a second core goes through it: the CSV writer's row
+blocks, the simulation's draw chunks, the survivor kernel's row blocks and
+the verification suite's criteria.  The map forks only for three or more
+items, when the process may run on two or more cores and neither has a
+helper at work nor is one.  So a helper never forks a helper of its own,
+maps nested in shared work run serially, and at most two processes ever
+work at once.
 
 The two processes talk through pipes only.  Each message on a pipe is its
-length as 8 little-endian bytes, then its bytes; results come back pickled.
-A helper that dies shows on the parent's side as end of file, where the
-caller raises ``OSError``; a parent that dies shows on the helper's side as
-end of file or a broken pipe, or, for the map, as a changed parent pid,
-which the helper checks before each item.  The helper may run BLAS: numpy's
-OpenBLAS stops its worker threads before a fork and starts them afresh in
-the child.
+length as 8 little-endian bytes, then its bytes; results come back pickled,
+one message per item, as soon as the helper has it.  A helper that dies
+shows on the parent's side as end of file, where the map raises
+``OSError``; a parent that dies shows on the helper's side as a broken pipe
+at its next result.  The helper may run BLAS: numpy's OpenBLAS stops its
+worker threads before a fork and starts them afresh in the child.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import struct
 #: index on the map's index pipe.
 _WORD = struct.Struct("<Q")
 
-#: The capacity asked of each pipe: several blocks of text or columns, or
+#: The capacity asked of each pipe: several blocks of text or results, or
 #: 131072 item indices, and Linux's default ``/proc/sys/fs/pipe-max-size``.
 _PIPE_BYTES = 1 << 20
 
@@ -43,8 +43,8 @@ _busy = False
 
 
 def can_fork() -> bool:
-    """Whether to fork a helper now: this process may run on two or more
-    cores, and neither has a helper at work nor is one."""
+    """Whether this process may run on two or more cores and neither has a
+    helper at work nor is one."""
     return (not _busy and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -92,141 +92,128 @@ def receive(fd):
     return None
 
 
-def _close(fds) -> None:
-    for fd in fds:
-        os.close(fd)
-
-
 @contextlib.contextmanager
-def helper(work, theirs=(), mine=()):
-    """Run ``work(*theirs, results)`` in one forked helper process while the
-    ``with`` block runs; yield the read end of the pipe ``results``.
+def helper(work):
+    """Run ``work(results)`` in one forked helper process while the ``with``
+    block runs; yield the read end of the pipe whose write end is
+    ``results``.
 
-    ``theirs`` and ``mine`` are further pipe ends that only the helper, or
-    only this process, goes on using; each side closes the other's at once,
-    so that the end of either side reads as end of file, or a broken pipe,
-    on the other.  Ends in neither stay open on both sides.  The helper
-    leaves only through ``os._exit``, with status 1 if ``work`` raised: it
-    holds forked copies of the parent's file buffers, which must never be
-    flushed.  On leaving the block this process closes ``mine`` and the
-    results pipe, kills the helper if the block raised, and reaps it.
+    The helper leaves only through ``os._exit``, with status 1 if ``work``
+    raised: it holds forked copies of the parent's file buffers, which must
+    never be flushed.  On leaving the block this process closes its end of
+    the pipe, kills the helper if the block raised, and reaps it.
     """
     global _busy
-    try:
-        results, results_w = pipe()
-    except BaseException:
-        _close([*theirs, *mine])
-        raise
-    ours = [*mine, results]
+    results, results_w = pipe()
     _busy = True
     try:
         pid = os.fork()
     except BaseException:
         _busy = False
-        _close([*theirs, *ours, results_w])
+        os.close(results)
+        os.close(results_w)
         raise
     if pid == 0:
         status = 1
         try:
-            _close(ours)
-            work(*theirs, results_w)
+            os.close(results)
+            work(results_w)
             status = 0
         finally:
             os._exit(status)
     try:
-        _close([*theirs, results_w])
+        os.close(results_w)
         yield results
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        _close(ours)
+        os.close(results)
         os.waitpid(pid, 0)
         _busy = False
 
 
-def _run_next(fn, items, index, done, failed) -> bool:
-    """Take the next index from the pipe ``index`` and run ``fn`` on that
-    item, into ``done[i]``, or ``failed[i]`` if it raises; ``False`` once
-    the pipe is empty."""
+def _take(index):
+    """The next item index on the pipe ``index``, or ``None`` once it is empty."""
     record = _read(index, _WORD.size)
-    if len(record) < _WORD.size:
-        return False
-    (i,) = _WORD.unpack(record)
+    return _WORD.unpack(record)[0] if len(record) == _WORD.size else None
+
+
+def _run(fn, item) -> tuple:
+    """``(True, fn(item))``, or ``(False, exception)`` if it raises."""
     try:
-        done[i] = fn(items[i])
-    except Exception as exc:  # re-raised by the parent, lowest index first
-        failed[i] = exc
-    return True
+        return True, fn(item)
+    except Exception as exc:  # raised by the parent where the serial loop would
+        return False, exc
 
 
-def _run_all(fn, items, index, done, failed, parent=None) -> None:
-    """Run items taken from the pipe ``index`` until it is empty, an item
-    raises, or (in the helper) the process ``parent`` is gone.  After an
-    item raised, every later index is taken unrun, so that neither process
-    starts an item that the failure makes moot."""
-    while (not failed and (parent is None or os.getppid() == parent)
-           and _run_next(fn, items, index, done, failed)):
-        pass
-    # each read takes a multiple of 8 bytes, so the other side's stay records
-    while failed and os.read(index, _PIPE_BYTES):
-        pass
+def _serve(fn, items, index, results) -> None:
+    """The helper's side of :func:`map_on_two_cores`: run the items whose
+    indices it takes from the pipe ``index`` and pickle each outcome of
+    :func:`_run` down ``results`` as it comes, until the pipe is empty or an
+    item raises."""
+    while (i := _take(index)) is not None:
+        outcome = _run(fn, items[i])
+        send(results, pickle.dumps(outcome, protocol=5))
+        if not outcome[0]:
+            return
 
 
-def _serve(fn, items, index, parent, results) -> None:
-    """The helper's side of :func:`map_on_two_cores`: run items from the
-    pipe ``index``, then pickle ``({index: result}, {index: exception})``
-    down ``results``."""
-    done, failed = {}, {}
-    _run_all(fn, items, index, done, failed, parent)
-    send(results, pickle.dumps((done, failed), protocol=5))
-
-
-def map_on_two_cores(fn, items) -> list:
-    """``[fn(x) for x in items]``, with the items shared between this
-    process and one forked helper when there are two or more of them and
-    :func:`can_fork` allows; otherwise run here, in order.
+def map_on_two_cores(fn, items):
+    """Yield ``fn(x)`` for each of ``items`` in order, as ``map`` does, with
+    the items shared between this process and one forked helper when there
+    are three or more of them and :func:`can_fork` allows; otherwise run
+    here, in order.
 
     Every item index is written up front as an 8-byte record on one pipe,
     whose write end is then closed; should the pipe fill first, this process
-    runs the indices at its head until the rest fits.  Then this process and
-    the helper each take the next index from the pipe until it is empty,
-    and the helper pickles its ``{index: result}`` back on a second pipe.
-    ``fn`` and the items reach the helper through the fork, unpickled.  If
-    items raise, the exception of the lowest failing index is raised here,
-    as in the serial loop.  A helper that dies, or sends back what cannot be
-    unpickled, raises ``OSError``.
+    runs and yields the items at its head until the rest fits.  Then both
+    processes take the next index from the pipe, so a long item on one side
+    leaves the other side free for the rest.  The helper sends each result
+    back as soon as it has it, and this process runs an item of its own only
+    when the caller asks for a result it does not have: it never runs more
+    than one item ahead of the caller.  ``fn`` and the items reach the
+    helper through the fork, unpickled.  An item that raises raises here
+    when the caller asks for its result, as in the serial loop.  A helper
+    that dies, or sends back what cannot be unpickled, raises ``OSError``.
     """
     items = list(items)
-    if len(items) < 2 or not can_fork():
-        return [fn(x) for x in items]
-    done, failed = {}, {}
+    if len(items) < 3 or not can_fork():
+        yield from map(fn, items)
+        return
+    k = 0  # the next result to yield
     index, index_w = pipe()
     try:
         try:
             os.set_blocking(index_w, False)
             records = memoryview(struct.pack(f"<{len(items)}Q", *range(len(items))))
-            while records and not failed:
+            while records:
                 try:
                     records = records[os.write(index_w, records):]
                 except BlockingIOError:  # the pipe is full: run its head here
-                    _run_next(fn, items, index, done, failed)
+                    _take(index)
+                    yield fn(items[k])
+                    k += 1
         finally:
             os.close(index_w)
-        if not failed:
-            with helper(functools.partial(_serve, fn, items, index, os.getpid())) as results:
-                _run_all(fn, items, index, done, failed)
-                message = receive(results)
-                if message is None:
-                    raise OSError("the map helper stopped before returning its results")
-                try:
-                    answer = pickle.loads(message)
-                except Exception as exc:
-                    raise OSError("the map helper's results could not be unpickled") from exc
-            done.update(answer[0])
-            failed.update(answer[1])
+        with helper(functools.partial(_serve, fn, items, index)) as results:
+            own = None  # (index, outcome) of this process's item not yet yielded
+            for k in range(k, len(items)):
+                if own is None and (i := _take(index)) is not None:
+                    own = i, _run(fn, items[i])
+                if own is not None and own[0] == k:
+                    outcome, own = own[1], None
+                else:  # the helper took item k: its next result is k's
+                    message = receive(results)
+                    if message is None:
+                        raise OSError("the map helper stopped before returning a result")
+                    try:
+                        outcome = pickle.loads(message)
+                    except Exception as exc:
+                        raise OSError("the map helper's result could not be unpickled") from exc
+                ok, value = outcome
+                if not ok:
+                    raise value
+                yield value
     finally:
         os.close(index)
-    if failed:
-        raise failed[min(failed)]
-    return [done[i] for i in range(len(items))]

@@ -29,17 +29,18 @@ def survivor_moment_grid(z, log_g, lam):
     ``lam``, on the ascending support ``z``; ``nan`` where a row of ``log_g``
     is all ``-inf``, which the caller rejects.
 
-    ``log_g`` holds log-probabilities, or is a function that takes a slice of
-    rows and returns one row of log-weights per lam of that slice.  Each
-    row's ``log_g - lam (z - z_min)`` is shifted by its largest before
-    ``exp``, so the sums stay in range however far ``g`` underflows, and the
-    variance is summed about the mean.  Rows are formed one block at a time.
-    Blocks hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover group of
-    rows in another order, so only such blocks give every row the same bits
-    as one product over the whole grid.  A grid of three or more blocks
-    shares them with one forked helper (:func:`._fork.map_on_two_cores`)
-    when two or more cores are there; each block is computed whole on one
-    side, so the bits depend neither on the helper nor on the core count.
+    ``log_g`` takes a slice of rows and returns their log-weights: one row
+    per lam of that slice, or one row for all.  Each row's
+    ``log_g - lam (z - z_min)`` is shifted by its largest before ``exp``, so
+    the sums stay in range however far ``g`` underflows, and the variance is
+    summed about the mean.  Rows are formed one block at a time.  Blocks
+    hold a multiple of 64 rows: BLAS ``gemv`` sums a leftover group of rows
+    in another order, so only such blocks give every row the same bits as
+    one product over the whole grid.  The blocks go through
+    :func:`._fork.map_on_two_cores`, on a second core when one is there, and
+    each is copied into the ``(4, n)`` result as it arrives; each block is
+    computed whole on one side, so the bits depend neither on the helper nor
+    on the core count.
     """
     dz = z - z[0]
     rows = max(64, _BLOCK_BYTES // (8 * dz.size) // 64 * 64)
@@ -47,7 +48,7 @@ def survivor_moment_grid(z, log_g, lam):
     def block(start):
         blk = slice(start, start + rows)
         w = np.multiply.outer(lam[blk], dz)
-        np.subtract(log_g(blk) if callable(log_g) else log_g, w, out=w)
+        np.subtract(log_g(blk), w, out=w)
         top = w.max(axis=1)
         w -= top[:, None]
         np.exp(w, out=w)
@@ -61,11 +62,8 @@ def survivor_moment_grid(z, log_g, lam):
     out = np.empty((4, lam.shape[0]))
     # lam (z - z_min) past float64 is a weight of 0; an all -inf row gives nan
     with np.errstate(over="ignore", invalid="ignore"):
-        # as in the CSV writer, the fork pays for itself only from three blocks on
-        parts = (_fork.map_on_two_cores(block, starts) if len(starts) > 2
-                 else [block(start) for start in starts])
-    for start, part in zip(starts, parts):
-        out[:, start:start + rows] = part
+        for part, start in zip(_fork.map_on_two_cores(block, starts), starts):
+            out[:, start:start + rows] = part
     return tuple(out)
 
 

@@ -92,7 +92,9 @@ def _cmd_oracle(args) -> int:
     grid = _grid_from(cfg.get("grid", {"start": 0.0, "stop": 10.0, "points": 41}))
     ratio = rfv_at(cfg["family"], grid)
     brute = oracle.rfv(cfg["family"], grid)
-    rel = np.abs(ratio - brute) / np.abs(brute)
+    # 0 where the routes agree, also where both return 0.0 (an RFV below the subnormals)
+    rel = np.divide(np.abs(ratio - brute), np.abs(brute), out=np.zeros_like(brute),
+                    where=ratio != brute)
     write_table(_out_path(cfg, args), ("lambda", "rfv_laplace", "rfv_oracle", "rel_diff"),
                 (grid, ratio, brute, rel),
                 {"family": family_to_dict(cfg["family"]), "max_rel_diff": float(np.max(rel))})

@@ -50,7 +50,7 @@ def _survivor_sums(family: FrailtyFamily, lams: np.ndarray):
     default support table, and a bound on the survivors' mass beyond it."""
     table = support_table(family)
     z = table.z
-    log_total, m1, var, first = _kernels.survivor_moment_grid(z, table.log_pmf, lams)
+    log_total, m1, var, first = _kernels.survivor_moment_grid(z, lambda blk: table.log_pmf, lams)
     # Conditioning downweights the points past z_K against the others, so
     # their mass among survivors is at most e^-(z_K - z_1) lam tail / total;
     # by Jensen, total >= (1 - tail) e^-(z_K - z_1) lam: at most tail / (1 - tail).

@@ -318,7 +318,7 @@ def curve(family: FrailtyFamily, grid) -> ShapeCurve:
 def curve_to_csv(shape: ShapeCurve, path) -> None:
     """Write ``lambda,rfv,crf`` rows (17 significant digits, LF endings)."""
     _io.write_csv(path, ("lambda", "rfv", "crf"),
-                  _io.row_blocks((shape.grid, shape.rfv, shape.crf)))
+                  _io.formatted((shape.grid, shape.rfv, shape.crf)))
 
 
 def curve_sidecar(shape: ShapeCurve) -> dict:

@@ -8,21 +8,25 @@ sample so the analytic curves can be verified against selection in action.
 
 Determinism: all draws come from a counter-based Philox stream keyed by
 ``(seed, stream-id)``.  Cluster ``i`` consumes ``J + 1`` uniforms (the first
-selects the frailty atom, the next ``J`` drive the targets), drawn in
-consecutive row chunks of one stream: the same bits as one
-``(n_clusters, J + 1)`` matrix, so output depends only on the config, never
-on the chunk size or on scheduling.  Bootstrap standard errors use separate
-stream ids.
+selects the frailty atom, the next ``J`` drive the targets): row ``i`` of one
+``(n_clusters, J + 1)`` matrix of the main stream.  Clusters are drawn in
+chunks of ``_io._BLOCK_ROWS`` rows, and each chunk is drawn alone, by
+advancing the stream to its first row (:func:`_draw`), so output depends
+only on the config, never on which chunks run where.  Bootstrap standard
+errors use separate stream ids.
 
-Memory: clusters are drawn in chunks of ``_io._BLOCK_ROWS`` rows, and
-:func:`simulate` fills one array per quantity.  Every count, CSV row and
-summary is one :func:`_tally` pass over such chunks, and estimators use the
-integer counts alone.  ``verify`` and the command line tally the draw, one
-chunk in memory whatever ``n_clusters`` is; a :class:`SampleSet` its arrays.
+Memory: :func:`simulate` fills one array per quantity.  Every count and
+summary is one :func:`_tally` pass over chunks, and estimators use the
+integer counts alone.  ``verify`` tallies the draw one chunk at a time,
+whatever ``n_clusters`` is.  The command line's job maps the chunk starts
+through :func:`._fork.map_on_two_cores`: each item draws, tallies and
+formats its own chunk, so the draw runs on two cores when there are, and
+the CSV and its summary get the same bytes either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from typing import Optional, NamedTuple
 
 import numpy as np
 
-from . import _io, _kernels, _spec
+from . import _fork, _io, _kernels, _spec
 from .errors import DegenerateConditional, EmptyWindow, LengthMismatch, TooFewAtRisk
 from .families import FrailtyFamily, family_to_dict, support_table
 from .hazards import _check_hazards, _check_time_vector, hazard_to_dict
@@ -131,29 +135,36 @@ class SampleSet(Sequence):
             yield (i * _io._BLOCK_ROWS, *block)
 
 
-def _chunks(config: SimConfig):
-    """Yield ``(start, codes, z, times)`` for consecutive chunks of at most
-    ``_io._BLOCK_ROWS`` clusters.
+def _draw(config: SimConfig, table, start: int) -> tuple:
+    """``(start, codes, z, times)`` of the chunk of at most
+    ``_io._BLOCK_ROWS`` clusters from cluster ``start`` on, a multiple of
+    ``_io._BLOCK_ROWS``, over the support table ``table``.
 
-    Each chunk continues the one main stream, so the chunks' uniforms are the
-    rows of the one-shot ``(n_clusters, J + 1)`` matrix, bit for bit.
+    The chunk's uniforms are its rows of the one-shot ``(n_clusters, J + 1)``
+    matrix, bit for bit: Philox makes four words per counter step and
+    ``start (J + 1)`` is a multiple of four, so advancing the main stream by
+    ``start (J + 1) / 4`` steps skips exactly the rows before ``start``.
     """
-    table = support_table(config.family)
-    cdf = np.cumsum(table.pmf)
-    rng = _philox(config.seed, _STREAM_MAIN)
     j, n = len(config.hazards), config.n_clusters
-    for start in range(0, n, _io._BLOCK_ROWS):
-        u = rng.random((min(_io._BLOCK_ROWS, n - start), j + 1))
-        codes = _inverse_cdf(cdf, u[:, 0])
-        z = table.z[codes]
-        times = np.empty((u.shape[0], j))
-        cured = z == 0.0
-        with np.errstate(divide="ignore"):
-            for q, hazard in enumerate(config.hazards):
-                exp_draw = -np.log1p(-u[:, q + 1])
-                target = np.where(cured, np.inf, exp_draw / np.where(cured, 1.0, z))
-                times[:, q] = hazard.inverse_cumulative(target)
-        yield start, codes, z, times
+    rng = _philox(config.seed, _STREAM_MAIN)
+    rng.bit_generator.advance(start * (j + 1) // 4)
+    u = rng.random((min(_io._BLOCK_ROWS, n - start), j + 1))
+    codes = _inverse_cdf(np.cumsum(table.pmf), u[:, 0])
+    z = table.z[codes]
+    times = np.empty((u.shape[0], j))
+    cured = z == 0.0
+    with np.errstate(divide="ignore"):
+        for q, hazard in enumerate(config.hazards):
+            exp_draw = -np.log1p(-u[:, q + 1])
+            target = np.where(cured, np.inf, exp_draw / np.where(cured, 1.0, z))
+            times[:, q] = hazard.inverse_cumulative(target)
+    return start, codes, z, times
+
+
+def _chunks(config: SimConfig):
+    """The ``(start, codes, z, times)`` chunks of :func:`_draw`, in order."""
+    return map(functools.partial(_draw, config, support_table(config.family)),
+               range(0, config.n_clusters, _io._BLOCK_ROWS))
 
 
 def simulate(config: SimConfig) -> SampleSet:
@@ -219,36 +230,24 @@ def _crf_cells(times: np.ndarray, query: tuple) -> np.ndarray:
     return _kernels.crf_cell_counts(times[:, j], times[:, j_prime], t[j], t[j_prime], window)
 
 
-def _drop(chunks) -> None:
-    """The sink of a count alone: it reads the chunks and keeps none."""
-    for _ in chunks:
-        pass
-
-
-def _tally(config: SimConfig, chunks, alive_times=(), crf_queries=(), sink=_drop):
+def _tally(config: SimConfig, chunks, alive_times=(), crf_queries=()):
     """``(cured, values, cells)`` summed over ``chunks``, ``config``'s sample
     as ``(start, codes, z, times)`` chunks: the cured count, the at-risk
     frailty-value counts at each of ``alive_times`` and the table of each
-    ``(t, j, j_prime, window)`` cross-ratio query.  ``sink`` consumes the
-    ``(start, z, times)`` chunks once the queries pass their checks."""
+    ``(t, j, j_prime, window)`` cross-ratio query.  The queries are checked
+    before the first chunk is read."""
     n_values = support_table(config.family).z.shape[0]
     alive_times = [_check_time_vector(config.hazards, t) for t in alive_times]
     crf_queries = [_crf_query(config, *q) for q in crf_queries]
     values = np.zeros((len(alive_times), n_values), dtype=np.int64)
     cells = np.zeros((len(crf_queries), 9), dtype=np.int64)
     cured = 0
-
-    def counted():
-        nonlocal cured
-        for start, codes, z, times in chunks:
-            cured += int(np.count_nonzero(z == 0.0))
-            for i, t in enumerate(alive_times):
-                values[i] += _kernels.riskset_value_counts(codes, times, t, n_values)
-            for i, query in enumerate(crf_queries):
-                cells[i] += _crf_cells(times, query)
-            yield start, z, times
-
-    sink(counted())
+    for _, codes, z, times in chunks:
+        cured += int(np.count_nonzero(z == 0.0))
+        for i, t in enumerate(alive_times):
+            values[i] += _kernels.riskset_value_counts(codes, times, t, n_values)
+        for i, query in enumerate(crf_queries):
+            cells[i] += _crf_cells(times, query)
     return cured, values, cells
 
 
@@ -311,23 +310,22 @@ def _crf_estimate(config: SimConfig, cells: np.ndarray, t, window: float) -> Emp
 # ---------------------------------------------------------------------------
 
 
-def _csv_block(censor, start: int, z: np.ndarray, times: np.ndarray) -> list:
-    """The CSV columns of the clusters ``start, start + 1, ...`` with
-    frailties ``z`` and latent times ``times``, clipped at ``censor``."""
+def _csv_header(config: SimConfig) -> list:
+    return ["cluster_id", "z", *(f"t_{q + 1}" for q in range(len(config.hazards))), "censored"]
+
+
+def _csv_text(censor, chunk) -> bytes:
+    """The CSV rows of a ``(start, codes, z, times)`` chunk: the clusters
+    ``start, start + 1, ...`` with their frailties and their latent times
+    clipped at ``censor``."""
+    start, _, z, times = chunk
     if censor is None:
         observed = times
         flags = np.zeros(z.shape[0], dtype=np.int64)
     else:
         observed = np.minimum(times, censor)
         flags = (times > censor).any(axis=1).astype(np.int64)
-    return [np.arange(start, start + z.shape[0]), z, *observed.T, flags]
-
-
-def _csv_sink(config: SimConfig, path):
-    """The sink that writes ``config``'s ``(start, z, times)`` chunks to ``path``."""
-    header = ["cluster_id", "z", *(f"t_{q + 1}" for q in range(len(config.hazards))), "censored"]
-    return lambda chunks: _io.write_csv(path, header, (
-        _csv_block(config.censor_time, *chunk) for chunk in chunks))
+    return _io._format_block([np.arange(start, start + z.shape[0]), z, *observed.T, flags])
 
 
 def samples_to_csv(samples: SampleSet, path) -> None:
@@ -337,14 +335,13 @@ def samples_to_csv(samples: SampleSet, path) -> None:
     the written times are clipped there and the flag marks clusters with at
     least one clipped entry.
     """
-    _tally(samples.config, samples._chunks(), sink=_csv_sink(samples.config, path))
+    _io.write_csv(path, _csv_header(samples.config), _fork.map_on_two_cores(
+        functools.partial(_csv_text, samples.config.censor_time), list(samples._chunks())))
 
 
-def _summary(cfg: SimConfig, chunks, summary_times=None, sink=_drop) -> dict:
-    """The summary payload of ``cfg``'s sample from one tally of its
-    ``chunks``, which then pass on to ``sink``."""
-    summary_times = summary_times or []
-    cured, values, _ = _tally(cfg, chunks, summary_times, sink=sink)
+def _summary(cfg: SimConfig, cured: int, values: np.ndarray, summary_times) -> dict:
+    """The summary payload of ``cfg``'s sample from its cured count and its
+    at-risk frailty-value counts at each of ``summary_times``."""
     return {
         "family": family_to_dict(cfg.family),
         "hazards": [hazard_to_dict(h) for h in cfg.hazards],
@@ -359,11 +356,35 @@ def _summary(cfg: SimConfig, chunks, summary_times=None, sink=_drop) -> dict:
 
 def simulation_summary(samples: SampleSet, summary_times=None) -> dict:
     """JSON-ready summary: config echo, cure fraction, at-risk counts."""
-    return _summary(samples.config, samples._chunks(), summary_times)
+    summary_times = summary_times or []
+    cured, values, _ = _tally(samples.config, samples._chunks(), summary_times)
+    return _summary(samples.config, cured, values, summary_times)
+
+
+def _chunk_job(config: SimConfig, summary_times, start: int) -> tuple:
+    """The CSV text, cured count and at-risk counts of the chunk of
+    ``config``'s draw from cluster ``start``."""
+    chunk = _draw(config, support_table(config.family), start)
+    cured, values, _ = _tally(config, [chunk], summary_times)
+    return _csv_text(config.censor_time, chunk), cured, values
 
 
 def _write_simulation(config: SimConfig, path, summary_times=None) -> None:
     """:func:`samples_to_csv` and the :func:`simulation_summary` sidecar of
-    ``simulate(config)``, drawn and written one chunk at a time."""
-    _io.write_json(_io.sidecar_path(path), _summary(
-        config, _chunks(config), summary_times, _csv_sink(config, path)))
+    ``simulate(config)``, each chunk drawn, tallied and formatted by one
+    item of :func:`._fork.map_on_two_cores`."""
+    summary_times = summary_times or []
+    # an empty tally checks the times before the CSV is opened
+    cured, values, _ = _tally(config, (), summary_times)
+
+    def texts():
+        nonlocal cured, values
+        for text, chunk_cured, chunk_values in _fork.map_on_two_cores(
+                functools.partial(_chunk_job, config, summary_times),
+                range(0, config.n_clusters, _io._BLOCK_ROWS)):
+            cured += chunk_cured
+            values += chunk_values
+            yield text
+
+    _io.write_csv(path, _csv_header(config), texts())
+    _io.write_json(_io.sidecar_path(path), _summary(config, cured, values, summary_times))

@@ -529,16 +529,16 @@ def run_all(only: Optional[list] = None) -> list:
     """Run all criteria, or those named in the list ``only`` in its order;
     every name is checked before any criterion runs.
 
-    With two or more criteria and two or more cores, this process and one
-    forked helper each take the next criterion in turn
-    (:func:`._fork.map_on_two_cores`); results come back in name order, and
-    a criterion that raises raises here, the first in name order, as when
-    they run one after another.
+    The criteria go through :func:`._fork.map_on_two_cores`: when it forks,
+    this process and one forked helper each take the next criterion as they
+    come free.  Results come back in
+    name order, and a criterion that raises raises here, the first in name
+    order, as when they run one after another.
     """
     names = list(CRITERIA) if only is None else list(only)
     for name in names:
         _criterion(name)
-    return map_on_two_cores(run_criterion, names)
+    return list(map_on_two_cores(run_criterion, names))
 
 
 def report(results: list) -> dict:

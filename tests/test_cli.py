@@ -129,6 +129,31 @@ class TestOracleCommand:
         assert body[:, 3].max() == pytest.approx(sidecar["max_rel_diff"])
 
 
+    @pytest.mark.parametrize("family,stop", [
+        ({"family": "negbin_positive", "params": {"pi": 0.4, "nu": 2}}, 1000.0),
+        ({"family": "shifted", "params": {"inner": {"family": "poisson", "params": {"eta": 2.0}},
+                                          "p": 1.0}}, 800.0),
+    ], ids=["negbin_positive", "shifted"])
+    def test_routes_agreeing_on_zero_differ_by_zero(self, tmp_path, family, stop):
+        # at the last point the RFV is below the smallest subnormal, so both
+        # routes return 0.0; 0/0 would write nan and warn on stderr
+        out = tmp_path / "o.csv"
+        cfg = write_cfg(tmp_path, "oracle_cfg.json", {
+            "family": family, "grid": {"start": 0.0, "stop": stop, "points": 2},
+            "out": str(out),
+        })
+        proc = subprocess.run([sys.executable, "-m", "frailty_shapes", "oracle", "--config", cfg],
+                              capture_output=True)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert out.read_text().split("\n")[2].endswith(",0,0,0")
+
+        def no_constant(name):
+            raise AssertionError(f"the sidecar holds {name}, which is not JSON")
+
+        sidecar = json.loads(out.with_suffix(".json").read_text(), parse_constant=no_constant)
+        assert 0.0 < sidecar["max_rel_diff"] < 1e-8
+
+
 class TestFig2Command:
     def test_writes_four_sets(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "fig2_cfg.json", {

@@ -4,7 +4,7 @@ Every subcommand gets a small valid config built from the family, hazard
 and shift tag tables.  Hypothesis then makes one mutation: it drops a key or
 a list item, adds an unknown key, or swaps a value for a bool, a string,
 ``null``, a nested list or object, ``NaN``, ``Infinity``, the literal
-``1e400`` or ``2.5``; ``cli.main`` runs the result in-process.  The
+``1e400``, ``2.5`` or ``1000.0``; ``cli.main`` runs the result in-process.  The
 contract: exit 0 or 2; on 2, stderr is exactly one JSON line carrying
 ``error`` and ``message`` and no output file exists; on 0, stderr is empty.
 A mutation that surely breaks the config (an unknown key, a dropped required
@@ -14,8 +14,11 @@ count) must exit 2.
 Sizes stay small: grids of at most 50 points, at most 500 clusters, small
 family parameters, and ``verify`` keeps ``only: ["tail_limits"]`` (no
 mutation drops it or makes it ``null``, which would run the whole suite).
-No mutation inserts a large finite number: a Poisson ``eta`` of 1e9 would
-build a support table of gigabytes, so that case is not covered here.
+The one large finite number, ``1000.0``, carries a grid past the point
+where ``e^-lambda`` underflows and stays cheap as a family parameter (the
+support table of Poisson(1000) has about 1300 atoms).  Larger numbers are
+not covered here: a Poisson ``eta`` of 1e9 would build a support table of
+gigabytes.
 """
 
 import contextlib
@@ -74,7 +77,7 @@ COUNTS = {"points", "n_clusters", "seed"}
 #: Stands for the literal 1e400 (json.dumps cannot write it); parses as inf.
 BIG = "<1e400>"
 REPLACEMENTS = [True, False, "x", None, [], [[1.0]], {}, {"a": 1},
-                math.nan, math.inf, BIG, 2.5]
+                math.nan, math.inf, BIG, 2.5, 1000.0]
 
 
 def test_examples_cover_every_tag():

@@ -1,5 +1,6 @@
-"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join, the
-life of its forked format helper, and the map that shares its fork routine."""
+"""The shared CSV writer against the row-by-row ``f"{x:.17g}"`` join, and
+the two-core map behind it and every other job that uses a second core:
+its results, its exceptions and the life of its forked helper."""
 
 import json
 import math
@@ -38,14 +39,14 @@ def test_bytes_match_row_join(tmp_path, n):
     columns = (ids, special, noise, flags)
     header = ("id", "special", "noise", "flag")
     path = tmp_path / "t.csv"
-    _io.write_csv(path, header, _io.row_blocks(columns))
+    _io.write_csv(path, header, _io.formatted(columns))
     want = _joined(header, [c.tolist() for c in columns])
     assert path.read_bytes() == want
 
 
 def test_special_values_spelled_out(tmp_path):
     path = tmp_path / "s.csv"
-    _io.write_csv(path, ("x",), _io.row_blocks((np.array(SPECIAL),)))
+    _io.write_csv(path, ("x",), _io.formatted((np.array(SPECIAL),)))
     assert path.read_text().split("\n")[1:7] == [
         "inf", "-inf", "nan", "-0", "4.9406564584124654e-324", "10000000000000000"]
 
@@ -70,14 +71,14 @@ def _column(kind, rng, n):
        kinds=st.lists(st.sampled_from(["int", "bool", "float"]), min_size=1, max_size=4),
        seed=st.integers(0, 2**32 - 1))
 def test_bytes_match_row_join_for_any_block_count(tmp_path_factory, full, partial, kinds, seed):
-    # up to six full blocks and a partial last one: the helper, when it
-    # starts, takes the third block and every other one after it
+    # up to six full blocks and a partial last one: from three blocks on
+    # the map forks a helper, which formats the blocks it takes
     n = max(full * B + partial, 1)
     rng = np.random.default_rng(seed)
     columns = [_column(kind, rng, n) for kind in kinds]
     header = [f"c{i}" for i in range(len(kinds))]
     path = tmp_path_factory.mktemp("blocks") / "t.csv"
-    _io.write_csv(path, header, _io.row_blocks(columns))
+    _io.write_csv(path, header, _io.formatted(columns))
     # compared line by line, so that a failure reports the first bad row
     # without diffing whole files on every shrink step
     want = _joined(header, [c.tolist() for c in columns])
@@ -93,12 +94,12 @@ def test_no_helper_for_two_blocks_or_one_core(tmp_path, monkeypatch, n, cores):
     monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     columns = (np.arange(n), np.linspace(0.0, 1.0, n))
-    _io.write_csv(tmp_path / "t.csv", ("i", "x"), _io.row_blocks(columns))
+    _io.write_csv(tmp_path / "t.csv", ("i", "x"), _io.formatted(columns))
     assert (tmp_path / "t.csv").read_bytes() == _joined(("i", "x"), [c.tolist() for c in columns])
 
 
 def _helper_pids(monkeypatch):
-    """The pids the writer forks from now on, recorded as it forks them."""
+    """The pids the map forks from now on, recorded as it forks them."""
     pids, fork = [], os.fork
 
     def recording_fork():
@@ -117,11 +118,13 @@ class _Stop(Exception):
 
 
 def _source(n_blocks, stop_at=None, stop=_Stop):
-    """``n_blocks`` one-column blocks; block ``stop_at`` (1-based) raises ``stop``."""
-    for i in range(1, n_blocks + 1):
+    """The text of ``n_blocks`` one-column blocks, formatted through the map;
+    the writer's source raises ``stop`` in place of block ``stop_at`` (1-based)."""
+    blocks = [[np.full(B, float(i))] for i in range(1, n_blocks + 1)]
+    for i, text in enumerate(_fork.map_on_two_cores(_io._format_block, blocks), 1):
         if i == stop_at:
             raise stop("block %d" % i)
-        yield [np.full(B, float(i))]
+        yield text
 
 
 class _ClosedAfter:
@@ -159,8 +162,8 @@ def test_helper_is_reaped_however_the_source_ends(tmp_path, monkeypatch, case):
         os.waitpid(pids[0], os.WNOHANG)
 
 
-#: Writes three blocks through the helper, prints the helper's pid, then
-#: sleeps while the helper holds the third block's text.
+#: Writes 200 blocks through the map, prints the helper's pid, then sleeps
+#: after the third block while the helper fills the results pipe.
 _KILLED_WRITER = """
 import os, sys, time
 import numpy as np
@@ -175,12 +178,13 @@ def announcing_fork():
 os.fork = announcing_fork
 os.sched_getaffinity = lambda pid: {0, 1}
 
-def blocks():
-    for i in range(3):
-        yield [np.linspace(0.0, 1.0, _io._BLOCK_ROWS)]
-    time.sleep(60)
+def texts():
+    for i, text in enumerate(_io.formatted([np.linspace(0.0, 1.0, 200 * _io._BLOCK_ROWS)])):
+        if i == 3:
+            time.sleep(60)
+        yield text
 
-_io.write_csv(sys.argv[1], ["x"], blocks())
+_io.write_csv(sys.argv[1], ["x"], texts())
 """
 
 
@@ -193,12 +197,14 @@ def _running(pid) -> bool:
         return False
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_helper_leaves_when_the_writer_is_killed(tmp_path):
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WRITER, str(tmp_path / "t.csv")],
+def _killed_parent_leaves_no_helper(script, *args):
+    """Run ``script``, kill it once its helper is up, and check that the
+    helper leaves within five seconds."""
+    proc = subprocess.Popen([sys.executable, "-c", script, *args],
                             stdout=subprocess.PIPE, text=True)
     try:
         pid = int(proc.stdout.readline())
+        time.sleep(0.2)
         assert _running(pid)
     finally:
         proc.kill()
@@ -210,33 +216,42 @@ def test_helper_leaves_when_the_writer_is_killed(tmp_path):
     assert not _running(pid)
 
 
-def _failing_in_the_helper(monkeypatch):
-    parent, format_block = os.getpid(), _io._format_block
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_helper_leaves_when_the_writer_is_killed(tmp_path):
+    # the helper is blocked on the full results pipe when the writer dies
+    _killed_parent_leaves_no_helper(_KILLED_WRITER, str(tmp_path / "t.csv"))
 
-    def format_or_fail(cols):
+
+def _dying_in_the_helper(monkeypatch):
+    """Make the helper die, without an answer, on the first block it formats."""
+    parent = os.getpid()
+    format_block = _io._format_block
+
+    def format_or_die(cols):
         if os.getpid() != parent:
-            raise RuntimeError("the helper failed")
+            os._exit(3)
+        time.sleep(0.01)
         return format_block(cols)
 
-    monkeypatch.setattr(_io, "_format_block", format_or_fail)
+    monkeypatch.setattr(_io, "_format_block", format_or_die)
     return _helper_pids(monkeypatch)
 
 
 def test_helper_failure_raises_os_error(tmp_path, monkeypatch):
-    pids = _failing_in_the_helper(monkeypatch)
+    pids = _dying_in_the_helper(monkeypatch)
     with pytest.raises(OSError, match="helper"):
-        _io.write_csv(tmp_path / "t.csv", ["x"], _source(4))
+        _io.write_csv(tmp_path / "t.csv", ["x"], _source(20))
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
 
 
 def test_helper_failure_exits_two_from_the_command_line(tmp_path, monkeypatch, capsys):
-    _failing_in_the_helper(monkeypatch)
+    _dying_in_the_helper(monkeypatch)
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
         "sim": {"family": {"family": "poisson", "params": {"eta": 2.0}},
                 "hazards": [{"hazard": "exponential", "params": {"rate": 1.0}}],
-                "n_clusters": 3 * B + 1, "seed": 1},
+                "n_clusters": 20 * B + 1, "seed": 1},
         "out": str(tmp_path / "sim.csv")}))
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -244,27 +259,28 @@ def test_helper_failure_exits_two_from_the_command_line(tmp_path, monkeypatch, c
     assert json.loads(err)["error"] == "OSError"
 
 
-# The map shares the writer's fork routine: the same helper life, for items.
+# The map itself, on items other than blocks of text.
 
 
 def _square(x):
     return x * x
 
 
-# 200000 indices overfill a 1 MiB index pipe, so the parent runs the head of
-# the pipe before it forks
+# 200000 indices overfill a 1 MiB index pipe, so the parent runs and yields
+# the head of the pipe before it forks
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 200_000])
 def test_map_equals_the_serial_list(monkeypatch, n):
     pids = _helper_pids(monkeypatch)
-    assert _fork.map_on_two_cores(_square, range(n)) == [x * x for x in range(n)]
-    assert len(pids) == (n >= 2)
+    assert list(_fork.map_on_two_cores(_square, range(n))) == [x * x for x in range(n)]
+    assert len(pids) == (n >= 3)
 
 
-@pytest.mark.parametrize("n,cores", [(1, {0, 1}), (50, {0})])
+@pytest.mark.parametrize("n,cores", [(1, {0, 1}), (50, {0}), (2, {0, 1})])
 def test_map_forks_no_helper_for_one_item_or_one_core(monkeypatch, n, cores):
+    # nor for two items: the fork pays for itself only from three on
     monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-    assert _fork.map_on_two_cores(_square, range(n)) == [x * x for x in range(n)]
+    assert list(_fork.map_on_two_cores(_square, range(n))) == [x * x for x in range(n)]
 
 
 def _slow_unless(side, stop):
@@ -282,16 +298,20 @@ def _slow_unless(side, stop):
     return fn
 
 
-@pytest.mark.parametrize("case", ["end", "raise", "interrupt", "helper raises"])
+@pytest.mark.parametrize("case", ["end", "raise", "interrupt", "helper raises", "stopped"])
 def test_map_helper_is_reaped_however_the_items_end(monkeypatch, case):
     pids = _helper_pids(monkeypatch)
     if case == "end":
-        assert _fork.map_on_two_cores(_slow_unless("neither", _Stop), range(50)) == list(range(50))
+        assert list(_fork.map_on_two_cores(_slow_unless("neither", _Stop), range(50))) == list(range(50))
+    elif case == "stopped":  # the caller stops early and drops the map
+        results = _fork.map_on_two_cores(_slow_unless("neither", _Stop), range(50))
+        assert [next(results) for _ in range(5)] == list(range(5))
+        del results
     else:
         stop = KeyboardInterrupt if case == "interrupt" else _Stop
         side = "helper" if case == "helper raises" else "parent"
         with pytest.raises(stop, match=f"in the {side}$"):
-            _fork.map_on_two_cores(_slow_unless(side, stop), range(50))
+            list(_fork.map_on_two_cores(_slow_unless(side, stop), range(50)))
     assert len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
@@ -309,8 +329,43 @@ def test_map_raises_the_lowest_failing_index(monkeypatch):
         return i
 
     with pytest.raises(_Stop, match="^item 0$"):
-        _fork.map_on_two_cores(fn, range(50))
+        list(_fork.map_on_two_cores(fn, range(50)))
     assert len(pids) == 1
+
+
+@pytest.mark.parametrize("failing", [0, 1, 7, 29])
+def test_map_raises_where_the_serial_loop_raises(monkeypatch, failing):
+    # every result before the failing item comes out first, in order
+    _helper_pids(monkeypatch)
+
+    def fn(i):
+        time.sleep(0.002 * (i % 3))
+        if i == failing:
+            raise _Stop(f"item {i}")
+        return i
+
+    got = []
+    with pytest.raises(_Stop, match=f"^item {failing}$"):
+        for value in _fork.map_on_two_cores(fn, range(30)):
+            got.append(value)
+    assert got == list(range(failing))
+
+
+def test_map_parent_runs_at_most_one_item_ahead(monkeypatch):
+    pids = _helper_pids(monkeypatch)
+    parent, ran = os.getpid(), []
+
+    def fn(i):
+        if os.getpid() == parent:
+            ran.append(i)
+        time.sleep(0.002 * (i % 4))
+        return i
+
+    for k, value in enumerate(_fork.map_on_two_cores(fn, range(60))):
+        assert value == k
+        assert len([i for i in ran if i > k]) <= 1
+        time.sleep(0.005)  # a slow caller: the helper runs ahead, not the parent
+    assert len(pids) == 1 and 0 < len(ran) < 60
 
 
 def test_map_helper_failure_raises_os_error(monkeypatch):
@@ -324,7 +379,7 @@ def test_map_helper_failure_raises_os_error(monkeypatch):
         return i
 
     with pytest.raises(OSError, match="helper"):
-        _fork.map_on_two_cores(fn, range(20))
+        list(_fork.map_on_two_cores(fn, range(20)))
 
 
 def _fail_to_load():
@@ -345,7 +400,7 @@ def test_map_helper_failure_raises_os_error_when_results_cannot_be_read(monkeypa
         return i if os.getpid() == parent else _Unreadable()
 
     with pytest.raises(OSError, match="helper"):
-        _fork.map_on_two_cores(fn, range(20))
+        list(_fork.map_on_two_cores(fn, range(20)))
 
 
 def test_map_nested_work_never_forks(monkeypatch):
@@ -356,9 +411,9 @@ def test_map_nested_work_never_forks(monkeypatch):
 
     def fn(i):
         time.sleep(0.01)
-        return os.getpid(), len(pids), _fork.map_on_two_cores(_square, range(5))
+        return os.getpid(), len(pids), list(_fork.map_on_two_cores(_square, range(5)))
 
-    results = _fork.map_on_two_cores(fn, range(20))
+    results = list(_fork.map_on_two_cores(fn, range(20)))
     assert [r[2] for r in results] == [[x * x for x in range(5)]] * 20
     assert len(pids) == 1
     sides = {pid: seen for pid, seen, _ in results}
@@ -384,24 +439,12 @@ parent = os.getpid()
 def item(i):
     time.sleep(60 if os.getpid() == parent else 0.05)
 
-_fork.map_on_two_cores(item, range(200))
+list(_fork.map_on_two_cores(item, range(200)))
 """
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_map_helper_leaves_when_the_parent_is_killed():
-    # left alone, the helper would run the other 199 items for ten seconds
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_MAP],
-                            stdout=subprocess.PIPE, text=True)
-    try:
-        pid = int(proc.stdout.readline())
-        time.sleep(0.2)
-        assert _running(pid)
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-    deadline = time.monotonic() + 5.0
-    while _running(pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not _running(pid)
+    # left alone, the helper would run the other 199 items for ten seconds;
+    # its next result meets a broken pipe
+    _killed_parent_leaves_no_helper(_KILLED_MAP)

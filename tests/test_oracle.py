@@ -162,7 +162,7 @@ BLOCK_FAMILIES = [fs.Poisson(eta=200.0), fs.NegBin(pi=0.3, nu=4.0)]
 def test_blocked_sums_equal_one_shot_sums_bitwise(fam, n):
     table = support_table(fam)
     lam = np.linspace(0.0, 5.0, n)
-    got = _kernels.survivor_moment_grid(table.z, table.log_pmf, lam)
+    got = _kernels.survivor_moment_grid(table.z, lambda blk: table.log_pmf, lam)
     for blocked, whole in zip(got, _one_shot_sums(table.z, table.log_pmf, lam)):
         assert np.array_equal(blocked, whole)
 
@@ -204,3 +204,20 @@ def test_oracle_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one_core", "two_cores"])
+def test_kernel_peak_is_its_output_plus_a_few_blocks(monkeypatch, cores):
+    # each block is copied into the (4, n) output as it arrives, on one core
+    # or two; holding all the blocks until the end would double the peak
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    table = support_table(fs.Poisson(eta=200.0))
+    lams = np.linspace(0.0, 5.0, 100_000)
+    tracemalloc.start()
+    try:
+        _kernels.survivor_moment_grid(table.z, lambda blk: table.log_pmf, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = 4 * lams.size * lams.itemsize
+    assert peak < output + 4 * _kernels._BLOCK_BYTES, f"peaked at {peak / 2**20:.1f} MiB"

@@ -6,6 +6,7 @@ in practice and loose enough to survive implementation-neutral reseeding.
 """
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from frailty_shapes.simulate import (
     SimConfig,
     _chunks,
     _crf_estimate,
+    _draw,
     _philox,
     _rfv_estimate,
     _tally,
@@ -253,8 +255,11 @@ class TestChunkedDraws:
         assert np.array_equal(s.codes, codes)
         assert np.array_equal(s.times, times)
         assert s.codes.dtype == np.int64 and s.times.shape == (n, len(hazards))
-        # the sample cut at the chunk rows is the draw's chunks, bit for bit
-        for (start, *got), (want_start, *want) in zip(s._chunks(), _chunks(cfg), strict=True):
+        # the sample cut at the chunk rows is the draw's chunks, bit for bit,
+        # each chunk drawn alone, last first
+        table = support_table(family)
+        for start, *got in reversed(list(s._chunks())):
+            want_start, *want = _draw(cfg, table, start)
             assert start == want_start
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -280,6 +285,21 @@ class TestChunkedDraws:
         summary = json.loads((tmp_path / "cli.json").read_text())
         assert summary["cure_fraction"] == samples.cure_fraction()
 
+    @pytest.mark.parametrize("n", [1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_cli_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch, n, j):
+        cfg = SimConfig(family=POISSON2, hazards=(EXP1, PIECEWISE, EXP1)[:j], n_clusters=n,
+                        seed=29, censor_time=1.5)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            _write_simulation(cfg, tmp_path / f"s{len(cores)}.csv", [[0.5] * j, [2.0] * j])
+        for suffix in ("csv", "json"):
+            assert ((tmp_path / f"s1.{suffix}").read_bytes()
+                    == (tmp_path / f"s2.{suffix}").read_bytes())
+        assert len(forks) == (n > 2 * B)
+
     def test_cli_memory_is_flat_in_n_clusters(self, tmp_path):
         # numpy reports its array allocations to tracemalloc; the one-shot
         # draw held ~53 bytes per cluster at J = 1, 40 MB more at 1e6 than
@@ -302,8 +322,9 @@ class TestChunkedDraws:
         assert abs(peak(1_000_000) - peak(200_000)) < 2**20
 
     def test_written_stream_stays_small_beside_its_helper(self, tmp_path):
-        # past its second block the writer forks a helper for every other
-        # block; at most one block is in flight, so memory stays flat
+        # the map's helper draws and formats the chunks it takes; this
+        # process holds at most one chunk of its own beyond the one being
+        # written and one of the helper's, so memory stays flat
         cfg = SimConfig(family=POISSON2, hazards=[EXP1, fs.ExponentialRate(rate=0.5)],
                         n_clusters=400_000, seed=1, censor_time=3.0)
         support_table(POISSON2)  # build the table outside the trace
@@ -376,12 +397,12 @@ class TestStreamedCounts:
         _, values, _ = _tally(one, _chunks(one), [(0.0,)])
         assert _outcome(_rfv_estimate, one, values[0], np.array([0.0]))[0] is fs.TooFewAtRisk
 
-    def test_queries_are_checked_before_the_sink_runs(self):
-        def sink(chunks):
-            raise AssertionError("sink called")
+    def test_queries_are_checked_before_any_chunk_is_read(self):
+        def chunks():
+            raise AssertionError("a chunk was read")
+            yield
 
         with pytest.raises(fs.ParameterOutOfRange):
-            _tally(_cfg(hazards=(EXP1, EXP1)), (), crf_queries=[((0.5, 0.5), 0, 0, 0.05)],
-                   sink=sink)
+            _tally(_cfg(hazards=(EXP1, EXP1)), chunks(), crf_queries=[((0.5, 0.5), 0, 0, 0.05)])
         with pytest.raises(fs.LengthMismatch):
-            _tally(_cfg(), (), alive_times=[(0.5, 0.5)], sink=sink)
+            _tally(_cfg(), chunks(), alive_times=[(0.5, 0.5)])
